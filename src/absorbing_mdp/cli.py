@@ -20,12 +20,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from .numbers import Number, format_number, parse_number
-from .measure import MeasureError
+from .measure import IntegrationError, MeasureError
 from .mdp import ModelError, validate_model
 from .occupation import (
     SolverError,
@@ -68,7 +69,7 @@ def _parse_x0(space, text: str) -> StatePoint:
         label, _, coord = text.partition(":")
         try:
             c = parse_number(coord)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise CliInputError(f"bad coordinate {coord!r}") from exc
         value = c.value if c.is_exact else Fraction(float(c.value))
         try:
@@ -114,15 +115,45 @@ def _resolve_strategy(strategies, families, name: str):
         label, _, idx = name.rpartition(":")
         fam = families.get(label)
         if fam is not None and fam.generator is not None and idx.lstrip("-").isdigit():
+            if fam.index_lo is not None and int(idx) < fam.index_lo:
+                raise CliInputError(
+                    f"strategy {name!r}: family {label!r} starts at index {fam.index_lo}"
+                )
             return fam.generator(int(idx))
     raise CliInputError(
         f"unknown strategy {name!r}; have {', '.join(sorted(strategies)) or 'none'}"
     )
 
 
-def _eps_value(text: str):
-    n = parse_number(text)
+def _positive_number(text: str) -> Fraction:
+    """argparse type: a finite value > 0, as 'p/q', an integer or a decimal."""
+    try:
+        n = parse_number(text)
+    except (ValueError, ZeroDivisionError):
+        n = None
+    if n is None or not n.value > 0:
+        raise argparse.ArgumentTypeError(f"need a finite positive number, got {text!r}")
     return n.value if n.is_exact else Fraction(float(n.value))
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"need a finite positive number, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a nonnegative integer, got {text!r}")
+    return value
 
 
 def _trunc(args) -> Truncation:
@@ -313,7 +344,7 @@ def cmd_absorption(args) -> int:
         family,
         x0,
         n_max=args.n_max,
-        eps=_eps_value(args.eps),
+        eps=args.eps,
         trunc=_trunc(args),
     )
     doc = absorption_report_to_dict(rep)
@@ -469,14 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--strategy", required=True)
     p.add_argument("--solver", choices=("auto", "countable", "unroll"), default="auto")
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=_nonnegative_int)
     p.set_defaults(func=cmd_occupation)
 
     p = sub.add_parser("absorption", help="tail-sum table over a strategy family")
     _add_common(p)
     p.add_argument("--family", required=True)
-    p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--eps", default="1/1000000")
+    p.add_argument("--n-max", type=_nonnegative_int, default=20)
+    p.add_argument("--eps", type=_positive_number, default="1/1000000")
     p.set_defaults(func=cmd_absorption)
 
     p = sub.add_parser("convergence", help="battery-relative convergence check")
@@ -484,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--limit", required=True, help="strategy whose occupation is the limit")
     p.add_argument("--battery", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--horizon", type=_nonnegative_int)
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("reproduce", help="run the frozen claim tables")
@@ -510,7 +541,7 @@ def main(argv=None) -> int:
     except (FormatError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ModelError, MeasureError, BatteryError) as exc:
+    except (SolverError, ModelError, MeasureError, BatteryError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -121,8 +121,12 @@ class TransitionKernel:
     def row(self, atom: str, action: str):
         return self.row_map.get((atom, action))
 
+    @cached_property
+    def row_atoms(self) -> frozenset:
+        return frozenset(atom for atom, _ in self.row_map)
+
     def has_row_for(self, atom: str) -> bool:
-        return any(key[0] == atom for key in self.row_map)
+        return atom in self.row_atoms
 
 
 @dataclass(frozen=True)

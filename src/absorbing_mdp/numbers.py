@@ -11,11 +11,14 @@ small per-operation slop for rounding.  Exact values never degrade silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 # A few ulps above IEEE double precision, charged once per float operation.
 _EPS = 2.0 ** -50
+
+# The err of every exact Number: one shared zero.
+_NO_ERR = Fraction(0)
 
 ExactLike = int | Fraction
 
@@ -24,29 +27,43 @@ def _slop(x: float) -> float:
     return _EPS * max(1.0, abs(x))
 
 
-@dataclass(frozen=True)
 class Number:
-    value: Fraction | float
-    err: Fraction | float = Fraction(0)
+    """An exact `Fraction` with err 0, or a finite float with a finite err >= 0.
 
-    def __post_init__(self):
-        v, e = self.value, self.err
+    Immutable.  The public constructor validates its arguments; exact
+    arithmetic results, which are valid by construction, skip that through
+    the module-private `_exact`.
+    """
+
+    __slots__ = ("value", "err")
+
+    def __init__(self, value: Fraction | float, err: Fraction | float = _NO_ERR):
+        v, e = value, err
         if isinstance(v, int):
             v = Fraction(v)
-            object.__setattr__(self, "value", v)
         if isinstance(v, Fraction):
             if e != 0:
                 raise ValueError("exact value cannot carry an error bound")
-            object.__setattr__(self, "err", Fraction(0))
+            e = _NO_ERR
         elif isinstance(v, float):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite value {v!r}")
             e = float(e)
             if not (e >= 0.0) or not math.isfinite(e):
                 raise ValueError(f"bad error bound {e!r}")
-            object.__setattr__(self, "err", e)
         else:
             raise TypeError(f"unsupported value type {type(v).__name__}")
+        _set_value(self, v)
+        _set_err(self, e)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Number, (self.value, self.err))
 
     # -- constructors ------------------------------------------------------
 
@@ -67,8 +84,10 @@ class Number:
         """
         if isinstance(x, Number):
             return x
-        if isinstance(x, (int, Fraction)):
-            return Number(Fraction(x))
+        if isinstance(x, Fraction):
+            return _exact(x)
+        if isinstance(x, int):
+            return _exact(Fraction(x))
         raise TypeError(f"cannot lift {type(x).__name__} implicitly; use Number.approx")
 
     # -- predicates --------------------------------------------------------
@@ -88,18 +107,23 @@ class Number:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "Number":
+        if isinstance(other, Number):
+            return other
         return Number.lift(other)
 
     def __add__(self, other) -> "Number":
         o = self._coerce(other)
-        if self.is_exact and o.is_exact:
-            return Number(self.value + o.value)
-        v = float(self.value) + float(o.value)
+        a, b = self.value, o.value
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return _exact(a + b)
+        v = float(a) + float(b)
         return Number(v, float(self.err) + float(o.err) + _slop(v))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Number":
+        if isinstance(self.value, Fraction):
+            return _exact(-self.value)
         return Number(-self.value, self.err)
 
     def __sub__(self, other) -> "Number":
@@ -110,9 +134,10 @@ class Number:
 
     def __mul__(self, other) -> "Number":
         o = self._coerce(other)
-        if self.is_exact and o.is_exact:
-            return Number(self.value * o.value)
-        a, b = float(self.value), float(o.value)
+        a, b = self.value, o.value
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return _exact(a * b)
+        a, b = float(a), float(b)
         ea, eb = float(self.err), float(o.err)
         v = a * b
         return Number(v, abs(a) * eb + abs(b) * ea + ea * eb + _slop(v))
@@ -132,6 +157,8 @@ class Number:
         return Number(v, bound + _slop(v))
 
     def __abs__(self) -> "Number":
+        if isinstance(self.value, Fraction):
+            return _exact(abs(self.value))
         return Number(abs(self.value), self.err)
 
     # -- comparisons (by central value; certified variants below) ----------
@@ -180,6 +207,20 @@ class Number:
         if self.is_exact:
             return f"Number({self.value})"
         return f"Number({self.value!r}, err={self.err!r})"
+
+
+# The slot setters bypass the raising __setattr__.
+_set_value = Number.value.__set__
+_set_err = Number.err.__set__
+_new = object.__new__
+
+
+def _exact(v: Fraction) -> Number:
+    """Trusted constructor for an exact result; `v` must be a Fraction."""
+    n = _new(Number)
+    _set_value(n, v)
+    _set_err(n, _NO_ERR)
+    return n
 
 
 ZERO = Number.exact(0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 ISOLATED = "isolated"
 LIMIT_POINT = "limit-point"
@@ -86,7 +87,7 @@ class StateSpace:
             raise ValueError("duplicate segment labels")
         if self.cemetery not in names:
             raise ValueError(f"cemetery atom {self.cemetery!r} not declared")
-        by_name = {a.name: a for a in self.atoms}
+        by_name = self.atom_map
         if by_name[self.cemetery].topology != ISOLATED:
             raise ValueError("cemetery must be isolated")
         limits = set()
@@ -103,11 +104,15 @@ class StateSpace:
             if a.topology == ISOLATED and a.name in limits:
                 raise ValueError(f"atom {a.name!r} is a declared limit but tagged isolated")
 
+    @cached_property
+    def atom_map(self) -> dict:
+        return {a.name: a for a in self.atoms}
+
     def atom_decl(self, name: str) -> AtomDecl:
-        for a in self.atoms:
-            if a.name == name:
-                return a
-        raise KeyError(f"unknown atom {name!r}")
+        decl = self.atom_map.get(name)
+        if decl is None:
+            raise KeyError(f"unknown atom {name!r}")
+        return decl
 
     def segment_decl(self, label: str) -> SegmentDecl:
         for s in self.segments:

@@ -283,13 +283,22 @@ def determinism_defect(mu: HybridMeasure) -> Number:
 
     for pieces in seg_pieces.values():
         cuts = sorted({b for breaks, _, _, _ in pieces for b in breaks})
-        for lo, hi in zip(cuts, cuts[1:]):
-            mid = lo + (hi - lo) / 2
-            per_action: dict = {}
-            for breaks, heights, action, weight in pieces:
-                for a, b, h in zip(breaks, breaks[1:], heights):
-                    if a <= mid < b:
-                        per_action[action] = per_action.get(action, ZERO) + weight * h
+        # A cell [lo, hi) of the common refinement belongs to the piece
+        # interval [a, b) that holds its midpoint lo + (hi - lo) / 2.  pos[c]
+        # is the first cell whose midpoint is >= the cut c, so [a, b) holds
+        # cells[pos[a]:pos[b]].  That first cell is c's own, unless the cell
+        # below c has a float midpoint that rounds up onto c.
+        pos = {c: i for i, c in enumerate(cuts)}
+        for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)) and lo + (hi - lo) / 2 >= hi:
+                pos[hi] = j
+        cells = [{} for _ in cuts[1:]]
+        for breaks, heights, action, weight in pieces:
+            for a, b, h in zip(breaks, breaks[1:], heights):
+                mass = weight * h
+                for per_action in cells[pos[a]:pos[b]]:
+                    per_action[action] = per_action.get(action, ZERO) + mass
+        for lo, hi, per_action in zip(cuts, cuts[1:], cells):
             if not per_action:
                 continue
             total = nsum(per_action.values())

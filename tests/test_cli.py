@@ -307,3 +307,60 @@ def test_module_entry_passes_exit_code_through():
     bad = child("occupation", "--zoo", "mystery", "--strategy", "x")
     assert bad.returncode == 2
     assert "unknown instance" in bad.stderr
+
+
+BAD_INPUTS = {
+    "family-index-below-range": (
+        ["occupation", "--zoo", "example1", "--strategy", "spread_first:0"],
+        "starts at index 1",
+    ),
+    "eps-not-a-number": (
+        ["absorption", "--zoo", "example2", "--family", "climb_then_linger", "--eps", "abc"],
+        "argument --eps",
+    ),
+    "tol-nan": (
+        ["convergence", "--zoo", "example1", "--family", "spread_first", "--limit",
+         "point_first", "--battery", "w-poly", "--tol", "nan", "--horizon", "3"],
+        "argument --tol",
+    ),
+    "x0-zero-denominator": (
+        ["occupation", "--zoo", "example1", "--strategy", "point_first", "--horizon", "2",
+         "--x0", "0:1/0"],
+        "bad coordinate",
+    ),
+    "horizon-negative": (
+        ["occupation", "--zoo", "example1", "--strategy", "point_first", "--horizon", "-1"],
+        "argument --horizon",
+    ),
+    "n-max-negative": (
+        ["absorption", "--zoo", "example2", "--family", "climb_then_linger", "--n-max", "-2"],
+        "argument --n-max",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(case):
+    argv, message = BAD_INPUTS[case]
+    cmd, env = module_command()
+    proc = subprocess.run(cmd + argv, capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.strip().splitlines()[-1]
+    assert "error:" in last and message in last
+
+
+def test_integration_error_is_analysis_failure(capsys, monkeypatch):
+    import absorbing_mdp.cli as cli
+    from absorbing_mdp.measure import IntegrationError
+
+    def refuse(*args, **kwargs):
+        raise IntegrationError("quadrature did not converge", value=0.5, err=1.0)
+
+    monkeypatch.setattr(cli, "check_convergence", refuse)
+    rc, _, err = run(
+        capsys, "convergence", "--zoo", "example1", "--family", "spread_first",
+        "--limit", "point_first", "--battery", "w-poly", "--horizon", "2",
+    )
+    assert rc == 1
+    assert err == "error: quadrature did not converge\n"

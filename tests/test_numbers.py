@@ -1,5 +1,7 @@
 """Certified scalar arithmetic: exactness, error propagation, comparisons."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -144,3 +146,83 @@ def test_abs_and_neg():
     a = Number.approx(-1.0, 0.1)
     assert abs(a).value == 1.0
     assert abs(a).err == 0.1
+
+
+# -- invariants of the slotted class ----------------------------------------
+
+
+@given(fractions, fractions)
+def test_exact_results_carry_a_fraction_zero_err(a, b):
+    x, y = Number.exact(a), Number.exact(b)
+    results = [x + y, x - y, x * y, -x, abs(x), 3 + x, 1 - x, x * 2, Number.lift(a), Number.lift(7)]
+    if b != 0:
+        results.append(x / y)
+    for r in results:
+        assert r.is_exact
+        assert r.err == 0 and type(r.err) is Fraction
+        assert type(r.value) is Fraction
+
+
+def test_numbers_are_immutable():
+    for n in (Number.exact(1, 3), Number.approx(0.25, 1e-9)):
+        with pytest.raises(AttributeError):
+            n.value = Fraction(1)
+        with pytest.raises(AttributeError):
+            n.err = 0.5
+        with pytest.raises(AttributeError):
+            n.other = 1
+        with pytest.raises(AttributeError):
+            del n.value
+    assert Number.exact(1, 3).value == Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "n", [Number.exact(-7, 3), ZERO, Number.approx(0.1, 2.0 ** -40), Number.approx(-3.0)]
+)
+def test_copy_deepcopy_and_pickle_round_trip(n):
+    for twin in (copy.copy(n), copy.deepcopy(n), pickle.loads(pickle.dumps(n))):
+        assert twin == n
+        assert hash(twin) == hash(n)
+        assert twin.is_exact == n.is_exact
+        assert type(twin.err) is type(n.err)
+
+
+def test_equality_and_hash_across_backends():
+    half = Number.exact(1, 2)
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert Number.exact(3) == 3
+    assert half != Number.approx(0.5) and Number.approx(0.5) != half
+    assert Number.approx(0.5, 0.0) == Number.approx(0.5)
+    assert Number.approx(0.5) != 0.5  # floats are never lifted implicitly
+    assert half != "1/2"
+    keys = {half: "exact", Number.approx(0.5): "float"}
+    assert keys[Number.exact(2, 4)] == "exact"
+    assert keys[Number.approx(0.5, 0.0)] == "float"
+    assert hash(Number.exact(3)) == hash(Number.lift(3))
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError):
+        Number(Fraction(1, 2), 1e-3)
+    with pytest.raises(ValueError):
+        Number(float("nan"))
+    with pytest.raises(ValueError):
+        Number(float("inf"))
+    with pytest.raises(ValueError):
+        Number(0.5, -1e-3)
+    with pytest.raises(ValueError):
+        Number(0.5, float("nan"))
+    with pytest.raises(ValueError):
+        Number(0.5, float("inf"))
+    with pytest.raises(TypeError):
+        Number("1/2")
+    assert Number(3) == Number.exact(3)
+    assert Number(0.5, Fraction(1, 4)).err == 0.25
+
+
+def test_float_results_keep_the_finiteness_check():
+    big = Number.approx(1e308)
+    with pytest.raises(ValueError):
+        big * big
+    with pytest.raises(ValueError):
+        big + big
