@@ -473,8 +473,8 @@ def _add_common(p: argparse.ArgumentParser, model_source=True):
         p.add_argument("--zoo", help="built-in instance name")
         p.add_argument("--model", help="model JSON file")
         p.add_argument("--x0", help="initial state: an atom name, or segment:coord")
-        p.add_argument("--trunc-states", type=int, default=Truncation().states)
-        p.add_argument("--trunc-stages", type=int, default=Truncation().stages)
+        p.add_argument("--trunc-states", type=_nonnegative_int, default=Truncation().states)
+        p.add_argument("--trunc-stages", type=_nonnegative_int, default=Truncation().stages)
     p.add_argument("--format", choices=("json", "csv", "md"), default="md")
     p.add_argument("--float", action="store_true", help="render numbers as floats")
     p.add_argument("--no-timestamp", action="store_true", help="omit the generated-at stamp")
@@ -543,6 +543,9 @@ def main(argv=None) -> int:
         return 2
     except (SolverError, ModelError, MeasureError, BatteryError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ZeroDivisionError as exc:
+        print(f"error: division by zero in the analysis ({exc})", file=sys.stderr)
         return 1
 
 

@@ -31,8 +31,8 @@ class Number:
     """An exact `Fraction` with err 0, or a finite float with a finite err >= 0.
 
     Immutable.  The public constructor validates its arguments; exact
-    arithmetic results, which are valid by construction, skip that through
-    the module-private `_exact`.
+    arithmetic results (`+ - * /`, `abs`), which are valid by construction,
+    skip that through the module-private `_exact`.
     """
 
     __slots__ = ("value", "err")
@@ -146,9 +146,11 @@ class Number:
 
     def __truediv__(self, other) -> "Number":
         o = self._coerce(other)
-        if self.is_exact and o.is_exact:
-            return Number(self.value / o.value)
-        a, b = float(self.value), float(o.value)
+        a, b = self.value, o.value
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            # Fraction division by zero raises ZeroDivisionError itself
+            return _exact(a / b)
+        a, b = float(a), float(b)
         ea, eb = float(self.err), float(o.err)
         if abs(b) <= eb:
             raise ZeroDivisionError(f"divisor interval contains zero: {o!r}")

@@ -7,19 +7,26 @@ Two solver paths:
   only path that handles segment densities.
 
 * `occupation_countable` handles purely atomic dynamics.  It runs the
-  non-stationary prefix exactly, then solves the stationary tail in closed
-  form when the strategy-fixed chain is acyclic apart from self-loops:
-  expected visits at a state equal the entering mass divided by the escape
-  probability.  Mass entering declared frontier atoms is not dropped: it is
-  certified into `tail_bound` as (frontier inflow) x cap, where the cap
-  1/(1-q) bounds the occupation a unit of stray mass can still generate and
-  q is the largest stay-in-play probability seen (overridable via
-  `continue_bound`).  The bound is a library construction, valid whenever q
-  really bounds the continuation probability beyond the frontier.
+  non-stationary prefix exactly, then solves the stationary tail exactly:
+  the strategy-fixed chain over the reachable states is condensed into its
+  strongly connected classes (Tarjan), and the classes are solved in
+  topological order.  Expected visits on a class C entered with mass e are
+  the fundamental-matrix row e (I - Q_C)^-1: a single state's visits are
+  its entering mass divided by its escape probability, a larger class is
+  solved by Gauss-Jordan elimination in `Number` arithmetic, so exact
+  inputs give exact visits and float inputs carry certified error.  A class
+  that no mass can leave is refused.  Mass entering declared frontier atoms
+  is not dropped: it is certified into `tail_bound` as (frontier inflow) x
+  cap, where the cap 1/(1-q) bounds the occupation a unit of stray mass can
+  still generate and q is the largest stay-in-play probability seen
+  (overridable via `continue_bound`).  The bound is a library construction,
+  valid whenever q really bounds the continuation probability beyond the
+  frontier.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,7 +78,6 @@ class CountableSolverError(SolverError):
 class Truncation:
     states: int = 64
     stages: int = 256
-    residual: Fraction = Fraction(1, 2 ** 40)
 
 
 @dataclass(frozen=True)
@@ -305,28 +311,116 @@ def _tail_transitions(model: MdpModel, stage, support):
     return trans, stay, acts, cont, frontier_p
 
 
-def _topo_order(trans, nodes):
-    """Topological order ignoring self-loops; None if a proper cycle exists."""
-    indeg = {n: 0 for n in nodes}
-    for src in nodes:
-        for dst in trans[src]:
-            if dst != src:
-                indeg[dst] += 1
-    ready = sorted(n for n in nodes if indeg[n] == 0)
-    order = []
+def _classes(trans, nodes):
+    """Strongly connected classes of the successor graph `trans`, by
+    Tarjan's algorithm run with an explicit stack, so that chains of
+    thousands of states do not meet the recursion limit.  Returns the
+    classes as sorted member lists and a state -> class index map."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set = set()
+    stack: list = []
+    classes: list = []
+    comp: dict[str, int] = {}
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(trans[root]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(trans[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp[w] = len(classes)
+                        members.append(w)
+                        if w == v:
+                            break
+                    classes.append(sorted(members))
+    return classes, comp
+
+
+def _class_order(trans, classes, comp):
+    """Classes in topological order (Kahn's algorithm), always taking the
+    ready class whose smallest state name is smallest; on an acyclic graph
+    this visits single states in name order among those ready."""
+    indeg = [0] * len(classes)
+    for x, c in comp.items():
+        for dst in trans[x]:
+            if comp[dst] != c:
+                indeg[comp[dst]] += 1
+    ready = [(members[0], c) for c, members in enumerate(classes) if indeg[c] == 0]
+    heapq.heapify(ready)
     while ready:
-        n = ready.pop(0)
-        order.append(n)
-        for dst in sorted(trans[n]):
-            if dst == n:
+        _, c = heapq.heappop(ready)
+        yield classes[c]
+        for x in classes[c]:
+            for dst in trans[x]:
+                d = comp[dst]
+                if d != c:
+                    indeg[d] -= 1
+                    if indeg[d] == 0:
+                        heapq.heappush(ready, (classes[d][0], d))
+
+
+def _certainly_nonzero(n: Number) -> bool:
+    return n.value != 0 if n.is_exact else abs(n.value) > n.err
+
+
+def _class_visits(members, trans, stay, enter) -> dict[str, Number]:
+    """Expected visits v on a strongly connected class C entered with mass
+    `enter`: v = enter_C + v Q_C, i.e. (I - Q_C)^T v = enter_C, solved by
+    Gauss-Jordan elimination in Number arithmetic.  I - Q_C is singular
+    exactly when no mass can leave C; that class is refused."""
+    n = len(members)
+    col = {x: i for i, x in enumerate(members)}
+    # sparse rows of (I - Q_C)^T; column n holds the right-hand side
+    rows: list[dict[int, Number]] = [{n: enter[y]} for y in members]
+    for x in members:
+        i = col[x]
+        rows[i][i] = ONE - stay[x]
+        for dst, p in trans[x].items():
+            j = col.get(dst)
+            if j is not None:
+                rows[j][i] = -p
+    for k in range(n):
+        piv = next((r for r in range(k, n) if _certainly_nonzero(rows[r].get(k, ZERO))), None)
+        if piv is None:
+            raise CountableSolverError(
+                f"no mass can leave the class of {members[0]!r} ({n} states), so its "
+                "occupation is not finite, or float error hides the escape"
+            )
+        rows[k], rows[piv] = rows[piv], rows[k]
+        prow = rows[k]
+        d = prow.pop(k)
+        for c in prow:
+            prow[c] = prow[c] / d
+        for r in range(n):
+            row = rows[r]
+            f = row.pop(k, None) if r != k else None
+            if f is None or _is_zero(f):
                 continue
-            indeg[dst] -= 1
-            if indeg[dst] == 0:
-                ready.append(dst)
-        ready.sort()
-    if len(order) != len(nodes):
-        return None
-    return order
+            for c, v in prow.items():
+                row[c] = row.get(c, ZERO) - f * v
+    return {x: rows[col[x]].get(n, ZERO) for x in members}
 
 
 def occupation_countable(
@@ -361,42 +455,32 @@ def occupation_countable(
             f"{len(nodes)} reachable states exceed the state budget {trunc.states}"
         )
 
-    order = _topo_order(trans, nodes)
-    if order is not None:
-        enter = {n: dist.get(n, ZERO) for n in nodes}
-        for x in order:
+    classes, comp = _classes(trans, nodes)
+    enter = {n: dist.get(n, ZERO) for n in nodes}
+    for members in _class_order(trans, classes, comp):
+        if len(members) == 1:
+            x = members[0]
             inflow = enter[x]
             if _is_zero(inflow):
                 continue
             escape = ONE - stay[x]
-            if escape.is_exact and escape.value == 0:
-                raise CountableSolverError(f"state {x!r} never leaves itself")
-            visits = inflow / escape
+            if not _certainly_nonzero(escape):
+                raise CountableSolverError(
+                    f"state {x!r} never leaves itself, or float error hides its escape"
+                )
+            visits = {x: inflow / escape}
+        else:
+            if all(_is_zero(enter[x]) for x in members):
+                continue
+            visits = _class_visits(members, trans, stay, enter)
+        for x, v in visits.items():
             for a, wa in acts[x]:
                 key = (x, a)
-                occ[key] = occ.get(key, ZERO) + visits * wa
+                occ[key] = occ.get(key, ZERO) + v * wa
             for dst, p in trans[x].items():
-                enter[dst] = enter[dst] + visits * p
-            flow.frontier = flow.frontier + visits * frontier_p[x]
-    else:
-        # proper cycles: iterate the remaining stage budget and certify what
-        # is left in play afterwards
-        budget = trunc.stages - prefix
-        for _ in range(budget):
-            dist = _atomic_step(model, tail_stage, dist, occ, flow)
-            if all(_is_zero(m) for m in dist.values()):
-                dist = {}
-                break
-        alive = nsum(dist.values())
-        leftover = alive * _cap(cont, continue_bound, needed=not _is_zero(alive))
-        if not leftover.certainly_le(trunc.residual):
-            raise CountableSolverError(
-                f"residual {float(leftover.value):.3e} above the requested bound "
-                f"after {trunc.stages} stages",
-                residual=leftover,
-            )
-        tail = flow.frontier * _cap(cont, continue_bound, needed=not _is_zero(flow.frontier)) + leftover
-        return _countable_result(model, occ, tail)
+                if dst not in visits:
+                    enter[dst] = enter[dst] + v * p
+            flow.frontier = flow.frontier + v * frontier_p[x]
 
     tail = flow.frontier * _cap(cont, continue_bound, needed=not _is_zero(flow.frontier))
     return _countable_result(model, occ, tail)

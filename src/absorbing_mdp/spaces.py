@@ -120,9 +120,6 @@ class StateSpace:
                 return s
         raise KeyError(f"unknown segment {label!r}")
 
-    def has_atom(self, name: str) -> bool:
-        return any(a.name == name for a in self.atoms)
-
     def point(self, name: str) -> StatePoint:
         """Atom point with its declared coordinate resolved in."""
         decl = self.atom_decl(name)

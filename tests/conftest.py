@@ -90,8 +90,8 @@ def ladder_model(depth: int) -> MdpModel:
 
 
 def loop_model() -> MdpModel:
-    """A proper two-cycle A -> B -> A with absorption 1/2 per step; exercises
-    the bounded-iteration fallback of the countable solver."""
+    """A proper two-cycle A -> B -> A with absorption 1/2 per step; a
+    two-state class for the countable solver's elimination."""
     space = StateSpace(atoms=(AtomDecl("A"), AtomDecl("B"), AtomDecl("Delta")))
     actions = FiniteActions(("x",))
     rows = (

@@ -6,7 +6,7 @@ import subprocess
 
 import pytest
 
-from absorbing_mdp import deterministic_stationary
+from absorbing_mdp import Number, deterministic_stationary
 from absorbing_mdp.cli import main
 from absorbing_mdp.serialize import model_to_dict, save_json
 
@@ -336,6 +336,16 @@ BAD_INPUTS = {
         ["absorption", "--zoo", "example2", "--family", "climb_then_linger", "--n-max", "-2"],
         "argument --n-max",
     ),
+    "trunc-states-negative": (
+        ["occupation", "--zoo", "example2", "--strategy", "always_branch",
+         "--trunc-states", "-1"],
+        "argument --trunc-states",
+    ),
+    "trunc-stages-negative": (
+        ["occupation", "--zoo", "example2", "--strategy", "always_branch",
+         "--trunc-stages", "-1"],
+        "argument --trunc-stages",
+    ),
 }
 
 
@@ -364,3 +374,18 @@ def test_integration_error_is_analysis_failure(capsys, monkeypatch):
     )
     assert rc == 1
     assert err == "error: quadrature did not converge\n"
+
+
+def test_zero_division_is_analysis_failure(capsys, monkeypatch):
+    import absorbing_mdp.cli as cli
+
+    def divide(*args, **kwargs):
+        return Number.approx(1.0) / Number.approx(0.0, 1e-9)
+
+    monkeypatch.setattr(cli, "occupation_countable", divide)
+    rc, _, err = run(
+        capsys, "occupation", "--zoo", "example2", "--strategy", "always_branch",
+        "--solver", "countable",
+    )
+    assert rc == 1
+    assert err.startswith("error: division by zero") and err.count("\n") == 1

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from absorbing_mdp import (
+    AtomDecl,
     CountableSolverError,
+    FiniteActions,
+    MdpModel,
+    StateSpace,
+    TransitionKernel,
     StatePoint,
     Number,
     ONE,
@@ -101,11 +106,58 @@ def test_countable_proper_cycle_certifies_residual(loop):
     occ = occupation_countable(loop, deterministic_stationary(default="x"),
                                loop.states.point("A"))
     masses = atom_masses(occ.measure)
-    # geometric cycle: visits(A) = 4/3, visits(B) = 2/3, found by iteration
-    assert masses["A"].within(F(4, 3), 1e-11)
-    assert masses["B"].within(F(2, 3), 1e-11)
-    assert occ.tail_bound != ZERO
-    assert occ.tail_bound.certainly_le(Truncation().residual * 2)
+    # geometric cycle: visits(A) = 4/3, visits(B) = 2/3, solved exactly, so
+    # the certified residual is zero
+    assert masses == {"A": Number.exact(4, 3), "B": Number.exact(2, 3)}
+    assert occ.tail_bound == ZERO
+
+
+def two_cycle(stay_in_play: Fraction) -> MdpModel:
+    """A <-> B, each step absorbed with probability 1 - stay_in_play."""
+    space = StateSpace(atoms=(AtomDecl("A"), AtomDecl("B"), AtomDecl("Delta")))
+    p = Number(stay_in_play)
+    rows = [(("A", "x"), (("B", p), ("Delta", ONE - p))),
+            (("B", "x"), (("A", p), ("Delta", ONE - p))),
+            (("Delta", "x"), (("Delta", ONE),))]
+    rows = [(key, tuple((t, q) for t, q in row if q != ZERO)) for key, row in rows]
+    return MdpModel(name="two-cycle", states=space, actions=FiniteActions(("x",)),
+                    kernel=TransitionKernel(rows=tuple(rows)))
+
+
+def test_slow_two_cycle_has_exact_mean_time_100():
+    model = two_cycle(F(99, 100))
+    occ = occupation_countable(model, deterministic_stationary(default="x"),
+                               model.states.point("A"))
+    assert occ.measure.total_mass() == Number(100)
+    assert occ.tail_bound == ZERO
+    assert expected_hitting_time(occ) == Number(100)
+
+
+def test_closed_two_cycle_is_refused():
+    model = two_cycle(F(1))
+    with pytest.raises(CountableSolverError, match="no mass can leave"):
+        occupation_countable(model, deterministic_stationary(default="x"),
+                             model.states.point("A"))
+
+
+def test_uncertain_escape_is_refused():
+    # escape probability 2^-53 carries a float error larger than itself
+    space = StateSpace(atoms=(AtomDecl("A"), AtomDecl("Delta")))
+    rows = ((("A", "x"), (("A", Number.approx(1 - 2 ** -53)), ("Delta", Number.approx(2 ** -53)))),
+            (("Delta", "x"), (("Delta", ONE),)))
+    model = MdpModel(name="sticky", states=space, actions=FiniteActions(("x",)),
+                     kernel=TransitionKernel(rows=rows))
+    with pytest.raises(CountableSolverError, match="float error hides its escape"):
+        occupation_countable(model, deterministic_stationary(default="x"),
+                             model.states.point("A"))
+
+
+def test_deep_ladder_needs_no_recursion():
+    model = ladder_model(2048)
+    occ = occupation_countable(model, deterministic_stationary(default="step"),
+                               model.states.point("c1"), Truncation(states=2048))
+    assert occ.measure.total_mass() == Number(2) - Number.exact(1, 2 ** 2047)
+    assert occ.tail_bound == Number.exact(1, 2 ** 2047)
 
 
 def test_countable_rejects_density_start(chain):
