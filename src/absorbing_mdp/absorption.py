@@ -38,8 +38,8 @@ from .occupation import (
 from .spaces import StatePoint
 
 
-class ValueError_(ModelError):
-    pass
+class MissingValueError(ModelError):
+    """A value function has no value for a state it was asked about."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class ValueFunction:
             v = self.fallback(name)
             if v is not None:
                 return v
-        raise ValueError_(f"no value for state {name!r}")
+        raise MissingValueError(f"no value for state {name!r}")
 
 
 def _successor_rows(model: MdpModel, atom: str):

@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .numbers import Number, format_number, parse_number
-from .measure import IntegrationError, MeasureError
+from .measure import CoverageError, IntegrationError, MeasureError
 from .mdp import ModelError, validate_model
 from .occupation import (
     SolverError,
@@ -538,6 +538,10 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CoverageError as exc:
+        # a KeyError subclass, but a failed analysis rather than bad input
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 1
     except (FormatError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

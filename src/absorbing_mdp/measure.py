@@ -15,6 +15,7 @@ falls back to adaptive quadrature with a tracked error bound.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -388,12 +389,24 @@ class PiecewisePoly:
             raise MeasureError("need lo <= hi")
         if lo < self.breaks[0] or hi > self.breaks[-1]:
             raise CoverageError("integration range escapes the piecewise range")
+        breaks = self.breaks
         total = 0
-        for i, (a, b) in enumerate(zip(self.breaks, self.breaks[1:])):
+        # pieces before the one holding lo, and from the first break at or
+        # past hi on, do not overlap [lo, hi]
+        for i in range(max(bisect.bisect_right(breaks, lo) - 1, 0), len(self.coeffs)):
+            a, b = breaks[i], breaks[i + 1]
+            if a >= hi:
+                break
             x0, x1 = max(a, lo), min(b, hi)
             if not x0 < x1:
                 continue
+            # an exact zero coefficient adds an exact zero between exact
+            # limits; between float limits it adds 0.0, which can decide the
+            # sign or type of the sum, so it is only skipped between exact ones
+            exact = not (isinstance(x0, float) or isinstance(x1, float))
             for j, c in enumerate(self.coeffs[i]):
+                if exact and isinstance(c, (int, Fraction)) and c == 0:
+                    continue
                 if isinstance(c, int):
                     c = Fraction(c)
                 total = total + c * (x1 ** (j + 1) - x0 ** (j + 1)) / (j + 1)
@@ -491,6 +504,8 @@ class TestFunction:
             raise MeasureError(f"unknown arity {self.arity!r}")
         if self.bound < 0:
             raise MeasureError("bound must be nonnegative")
+        # the largest |value| an error-free sample may take
+        object.__setattr__(self, "_limit", float(self.bound) + 1e-12)
 
     def evaluate(self, point: StatePoint, action: ActionValue | None = None) -> Number:
         if self.arity == "state":
@@ -499,9 +514,41 @@ class TestFunction:
             if action is None:
                 raise MeasureError(f"{self.name!r} needs an action argument")
             raw = self.evaluator(point, action)
-        v = _wrap_value(raw)
-        slack = float(v.err) + 1e-12
-        if float(abs(v.value)) > float(self.bound) + slack:
+        return self._checked(raw)
+
+    def sample(self, point: StatePoint, action: ActionValue | None = None) -> float:
+        """`float(self.evaluate(point, action).value)`, with the same checks
+        and errors, but a plain float sample is checked without boxing it."""
+        if self.arity == "state":
+            raw = self.evaluator(point)
+        else:
+            if action is None:
+                raise MeasureError(f"{self.name!r} needs an action argument")
+            raw = self.evaluator(point, action)
+        if type(raw) is not float:
+            return float(self._checked(raw).value)
+        if not math.isfinite(raw):
+            raise ValueError(f"non-finite value {raw!r}")
+        if abs(raw) > self._limit:
+            raise BoundViolation(f"{self.name!r} evaluated to {raw} beyond bound {self.bound}")
+        return raw
+
+    def _checked(self, raw) -> Number:
+        """`raw` as a Number, refused when |value| exceeds the bound by more
+        than its err (and 1e-12)."""
+        # _wrap_value's dispatch, inline: evaluate runs once per atom per
+        # battery function, and a call to it would add a frame to each
+        if isinstance(raw, Number):
+            v = raw
+        elif isinstance(raw, (int, Fraction)):
+            v = Number.lift(raw)
+        elif isinstance(raw, float):
+            v = Number.approx(raw, 0.0)
+        else:
+            raise TypeError(f"evaluator returned {type(raw).__name__}")
+        err = v.err
+        limit = float(self.bound) + (float(err) + 1e-12) if err else self._limit
+        if float(abs(v.value)) > limit:
             raise BoundViolation(
                 f"{self.name!r} evaluated to {float(v.value)} beyond bound {self.bound}"
             )
@@ -587,7 +634,7 @@ def _state_density_integral(d: StateDensity, g: TestFunction, tol: float) -> Num
     total = ZERO
     budget = tol / len(d.heights)
     for a, b, h in zip(d.breaks, d.breaks[1:], d.heights):
-        f = lambda x: float(g.evaluate(StatePoint(segment=d.segment, coord=x)).value)
+        f = lambda x: g.sample(StatePoint(segment=d.segment, coord=x))
         v, e = _quad(f, float(a), float(b), budget / max(float(h.value), 1e-30))
         total = total + h * Number.approx(v, e)
     return total
@@ -606,10 +653,10 @@ def _pure_integral(s: StatePart, a: ActionAtom | ActionDensity, g: TestFunction,
             total = total + sv * av
         return total
     if atomic_s:
-        f = lambda t: float(g.evaluate(s.point, t).value)
+        f = lambda t: g.sample(s.point, t)
         return _density_quad(a.breaks, a.heights, f, tol)
     if atomic_a:
-        f = lambda x: float(g.evaluate(StatePoint(segment=s.segment, coord=x), a.action).value)
+        f = lambda x: g.sample(StatePoint(segment=s.segment, coord=x), a.action)
         return _density_quad(s.breaks, s.heights, f, tol)
     # nested: outer over the state density, inner over the action density
     smass = max(float(s.mass().value), 1e-30)
@@ -617,7 +664,7 @@ def _pure_integral(s: StatePart, a: ActionAtom | ActionDensity, g: TestFunction,
 
     def outer(x):
         p = StatePoint(segment=s.segment, coord=x)
-        f = lambda t: float(g.evaluate(p, t).value)
+        f = lambda t: g.sample(p, t)
         inner = _density_quad(a.breaks, a.heights, f, inner_tol)
         return float(inner.value)
 
@@ -641,60 +688,3 @@ def _quad(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     except QuadratureError as exc:
         raise IntegrationError(str(exc), value=exc.value, err=exc.err) from exc
 
-
-def check_structured_consistency(
-    g: TestFunction,
-    space: StateSpace,
-    actions: ActionSpace,
-    samples_per_piece: int = 3,
-) -> None:
-    """Verify that a structured form agrees with the evaluator at piece
-    midpoints, knots, and a few action samples.  Raises on disagreement."""
-    if g.structured is None:
-        return
-    if g.arity == "state":
-        factors = [(g.structured[0], None)]
-    else:
-        factors = list(g.structured)
-
-    if isinstance(actions, FiniteActions):
-        action_samples = list(actions.names)
-    else:
-        lo, hi = actions.lo, actions.hi
-        action_samples = [lo, (lo + hi) / 2, hi]
-
-    def state_samples(sf: StateFactor):
-        pts = []
-        for name, _ in sf.atom_values:
-            pts.append(space.point(name))
-        for label, poly in sf.segment_polys:
-            for a, b in zip(poly.breaks, poly.breaks[1:]):
-                for k in range(1, samples_per_piece + 1):
-                    coord = a + (b - a) * Fraction(k, samples_per_piece + 1)
-                    pts.append(StatePoint(segment=label, coord=coord))
-            for b in poly.breaks:
-                pts.append(StatePoint(segment=label, coord=b))
-        return pts
-
-    seen = set()
-    for sf, _ in factors:
-        for p in state_samples(sf):
-            if p in seen:
-                continue
-            seen.add(p)
-            if g.arity == "state":
-                want = _wrap_value(g.structured[0].value_at(p))
-                got = g.evaluate(p)
-                _assert_close(g.name, want, got)
-            else:
-                for a in action_samples:
-                    acc = ZERO
-                    for sf2, af2 in factors:
-                        acc = acc + _wrap_value(sf2.value_at(p)) * _wrap_value(af2.value_at(a))
-                    _assert_close(g.name, acc, g.evaluate(p, a))
-
-
-def _assert_close(name, want: Number, got: Number):
-    gap = abs(want - got)
-    if float(gap.value) > 1e-9 + float(gap.err):
-        raise MeasureError(f"structured form of {name!r} disagrees with its evaluator")

@@ -27,6 +27,7 @@ Two solver paths:
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,11 +90,26 @@ class OccupationResult:
 
 def expected_hitting_time(occ: OccupationResult) -> Number:
     """Total occupation mass; exact when the tail bound is zero, otherwise a
-    float with the tail bound folded into the error."""
+    float whose error holds the total's own error, the whole tail bound
+    (value and error) and the rounding of the total to a float."""
     total = occ.measure.total_mass()
-    if occ.tail_bound == ZERO:
+    tail = occ.tail_bound
+    if tail == ZERO:
         return total
-    return Number.approx(float(total.value), float(total.err) + float(occ.tail_bound.value))
+    v = float(total.value)
+    err = (
+        abs(Fraction(v) - Fraction(total.value))
+        + Fraction(total.err)
+        + Fraction(tail.value)
+        + Fraction(tail.err)
+    )
+    return Number.approx(v, _round_up(err))
+
+
+def _round_up(x: Fraction) -> float:
+    """The least float at or above x."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
 def _decompose_atoms(part: ActionPart):
@@ -480,14 +496,20 @@ def occupation_countable(
             for dst, p in trans[x].items():
                 if dst not in visits:
                     enter[dst] = enter[dst] + v * p
-            flow.frontier = flow.frontier + v * frontier_p[x]
+            # a state with no frontier successor adds nothing: a float v
+            # times an exact zero would add a 0.0 carrying rounding slop
+            if not _is_zero(frontier_p[x]):
+                flow.frontier = flow.frontier + v * frontier_p[x]
 
     tail = flow.frontier * _cap(cont, continue_bound, needed=not _is_zero(flow.frontier))
     return _countable_result(model, occ, tail)
 
 
 def _cap(cont: dict, continue_bound, needed: bool) -> Number:
-    """Occupation cap for one unit of stray mass: 1/(1-q)."""
+    """Occupation cap for one unit of stray mass: 1/(1-q).  Without
+    frontier mass (`needed` False) nothing uses it, and it is ONE."""
+    if not needed:
+        return ONE
     if continue_bound is not None:
         q = Number.lift(continue_bound)
     elif cont:
@@ -495,12 +517,10 @@ def _cap(cont: dict, continue_bound, needed: bool) -> Number:
     else:
         q = ZERO
     if q >= ONE:
-        if needed:
-            raise CountableSolverError(
-                "no absorption certificate: continuation probability reaches 1; "
-                "supply continue_bound"
-            )
-        return ONE
+        raise CountableSolverError(
+            "no absorption certificate: continuation probability reaches 1; "
+            "supply continue_bound"
+        )
     return ONE / (ONE - q)
 
 

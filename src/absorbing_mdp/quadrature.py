@@ -6,6 +6,11 @@ value and their scaled disagreement the local error estimate, so smooth
 integrands converge at fifth order and an interval straddling a jump keeps
 shrinking geometrically under worst-first bisection.
 
+`measure.integrate` passes test functions in through `TestFunction.sample`:
+a float sample is checked for finiteness and against the function's bound
+without being boxed into a `Number`; any other sample type takes the same
+checks as `TestFunction.evaluate`.
+
 Caveat: the returned bound is an estimate, sharp for smooth integrands and
 reliable for piecewise-smooth ones with finitely many jumps.  For
 indicator-type integrands it assumes bounded variation; a pathological
@@ -31,21 +36,6 @@ class QuadratureError(Exception):
         super().__init__(f"quadrature stalled at err={err:.3e} > tol={tol:.3e}")
 
 
-def _refine(f, a: float, b: float, fa: float, fm: float, fb: float):
-    """Value and error for [a, b] from one Simpson bisection.
-
-    Returns (value, err, flm, frm) with the half-midpoint samples so the
-    caller can split without re-evaluating.
-    """
-    m = a + (b - a) / 2.0
-    flm = f(a + (m - a) / 2.0)
-    frm = f(m + (b - m) / 2.0)
-    s1 = (fa + 4.0 * fm + fb) * (b - a) / 6.0
-    s2 = (fa + 4.0 * flm + 2.0 * fm + 4.0 * frm + fb) * (b - a) / 12.0
-    # /10 rather than the asymptotic /15 keeps a margin of safety
-    return s2 + (s2 - s1) / 15.0, abs(s2 - s1) / 10.0, flm, frm
-
-
 def adaptive_quadrature(
     f: Callable[[float], float],
     lo: float,
@@ -56,22 +46,31 @@ def adaptive_quadrature(
     """Integrate f over [lo, hi]; returns (value, error bound)."""
     if not lo < hi:
         raise ValueError("need lo < hi")
-    fa, fm, fb = f(lo), f(lo + (hi - lo) / 2.0), f(hi)
-    val, err, flm, frm = _refine(f, lo, hi, fa, fm, fb)
-    # items: (-err, a, b, fa, flm, fm, frm, fb, value, err)
-    heap = [(-err, lo, hi, fa, flm, fm, frm, fb, val, err)]
-    count = 1
-    total_err = err
-    while total_err > tol:
+    heappush, heappop = heapq.heappush, heapq.heappop
+    # heap items: (-err, a, b, fa, flm, fm, frm, fb, value, err)
+    heap = []
+    total_err = 0.0
+    count = 0
+    # intervals (a, b, fa, fm, fb) waiting for their Simpson refinement
+    fresh = ((lo, hi, f(lo), f(lo + (hi - lo) / 2.0), f(hi)),)
+    while True:
+        for a, b, fa, fm, fb in fresh:
+            m = a + (b - a) / 2.0
+            flm = f(a + (m - a) / 2.0)
+            frm = f(m + (b - m) / 2.0)
+            s1 = (fa + 4.0 * fm + fb) * (b - a) / 6.0
+            s2 = (fa + 4.0 * flm + 2.0 * fm + 4.0 * frm + fb) * (b - a) / 12.0
+            # /10 rather than the asymptotic /15 keeps a margin of safety
+            e = abs(s2 - s1) / 10.0
+            heappush(heap, (-e, a, b, fa, flm, fm, frm, fb, s2 + (s2 - s1) / 15.0, e))
+            total_err += e
+        count += 1
+        if not total_err > tol:
+            return sum(item[8] for item in heap), total_err
         if count >= max_intervals:
             value = sum(item[8] for item in heap)
             raise QuadratureError(value, total_err, tol)
-        _, a, b, fa, flm, fm, frm, fb, _, e = heapq.heappop(heap)
+        _, a, b, fa, flm, fm, frm, fb, _, e = heappop(heap)
         total_err -= e
         m = a + (b - a) / 2.0
-        for (x, y, fx, fmid, fy) in ((a, m, fa, flm, fm), (m, b, fm, frm, fb)):
-            sv, se, sl, sr = _refine(f, x, y, fx, fmid, fy)
-            heapq.heappush(heap, (-se, x, y, fx, sl, fmid, sr, fy, sv, se))
-            total_err += se
-        count += 1
-    return sum(item[8] for item in heap), total_err
+        fresh = ((a, m, fa, flm, fm), (m, b, fm, frm, fb))

@@ -389,3 +389,21 @@ def test_zero_division_is_analysis_failure(capsys, monkeypatch):
     )
     assert rc == 1
     assert err.startswith("error: division by zero") and err.count("\n") == 1
+
+
+def test_coverage_error_is_analysis_failure(capsys, monkeypatch):
+    # CoverageError is a KeyError, but it means a structured form was asked
+    # about a point it does not cover: the analysis failed, the input was fine
+    import absorbing_mdp.cli as cli
+    from absorbing_mdp import const_poly
+
+    def uncovered(*args, **kwargs):
+        return const_poly(1).value_at(2)
+
+    monkeypatch.setattr(cli, "occupation_countable", uncovered)
+    rc, _, err = run(
+        capsys, "occupation", "--zoo", "example2", "--strategy", "always_branch",
+        "--solver", "countable",
+    )
+    assert rc == 1
+    assert err == "error: 2 outside piecewise range\n"

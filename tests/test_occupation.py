@@ -14,6 +14,7 @@ from absorbing_mdp import (
     TransitionKernel,
     StatePoint,
     Number,
+    OccupationResult,
     ONE,
     SolverError,
     StageKernel,
@@ -256,3 +257,63 @@ def test_expected_time_exact_iff_no_tail(chain, ladder8):
         ladder8, deterministic_stationary(default="step"), ladder8.states.point("c1")
     )
     assert not expected_hitting_time(capped).is_exact
+
+
+def test_frontier_free_float_model_needs_no_cap():
+    # no frontier, so the cap 1/(1 - q) is never needed; with q = 1 - 2^-53
+    # its float divisor interval would contain zero
+    space = StateSpace(atoms=(AtomDecl("A"), AtomDecl("B"), AtomDecl("Delta")))
+    rows = ((("A", "x"), (("B", Number.approx(1 - 2 ** -53)), ("Delta", Number.approx(2 ** -53)))),
+            (("B", "x"), (("Delta", ONE),)),
+            (("Delta", "x"), (("Delta", ONE),)))
+    model = MdpModel(name="nearly-sure", states=space, actions=FiniteActions(("x",)),
+                     kernel=TransitionKernel(rows=rows))
+    occ = occupation_countable(model, deterministic_stationary(default="x"),
+                               model.states.point("A"))
+    assert occ.tail_bound == ZERO
+    masses = atom_masses(occ.measure)
+    assert masses["A"] == ONE
+    assert float(masses["B"].value) == 1 - 2 ** -53
+
+
+def two_fifths_ladder(depth: int) -> MdpModel:
+    """c1 -> c2 -> ... with continuation 2/5 per rung; the last rung is the
+    frontier.  The exact total 5/3 (1 - (2/5)^depth) is not a float."""
+    names = [f"c{n}" for n in range(1, depth + 2)]
+    space = StateSpace(atoms=tuple(AtomDecl(n) for n in names) + (AtomDecl("Delta"),))
+    go = Number.exact(2, 5)
+    rows = [((f"c{n}", "step"), ((f"c{n + 1}", go), ("Delta", ONE - go)))
+            for n in range(1, depth + 1)]
+    rows.append(((f"c{depth + 1}", "step"), (("Delta", ONE),)))
+    rows.append((("Delta", "step"), (("Delta", ONE),)))
+    return MdpModel(name=f"two-fifths{depth}", states=space, actions=FiniteActions(("step",)),
+                    kernel=TransitionKernel(rows=tuple(rows)),
+                    frontier=frozenset({f"c{depth + 1}"}))
+
+
+@pytest.mark.parametrize("depth", [60, 75, 90, 105])
+def test_expected_time_err_covers_the_rounding(depth):
+    # the tail (2/5)^depth * 5/3 is far below the rounding of the total to a
+    # float, so only charging that rounding makes the err enclose the total
+    model = two_fifths_ladder(depth)
+    occ = occupation_countable(model, deterministic_stationary(default="step"),
+                               model.states.point("c1"), Truncation(states=128))
+    total = occ.measure.total_mass()
+    tail = occ.tail_bound
+    assert total == Number.exact(F(5, 3) * (1 - F(2, 5) ** depth))
+    assert tail == Number.exact(F(5, 3) * F(2, 5) ** depth)
+    mean = expected_hitting_time(occ)
+    assert not mean.is_exact
+    assert float(mean.value) == float(total.value)
+    rounding = abs(F(mean.value) - total.value)
+    assert rounding > tail.value
+    # the err holds both parts in full: its own float sum does not round down
+    assert F(mean.err) >= rounding + tail.value
+
+
+def test_expected_time_err_keeps_the_tail_err(ladder8):
+    occ = occupation_countable(ladder8, deterministic_stationary(default="step"),
+                               ladder8.states.point("c1"))
+    tail = Number.approx(1e-3, 5e-4)
+    mean = expected_hitting_time(OccupationResult(occ.measure, tail, occ.method))
+    assert F(mean.err) >= F(tail.value) + F(tail.err)
