@@ -10,6 +10,16 @@ Integration is exact whenever the component is purely atomic, or the test
 function carries a structured form (a sum of tensor-product terms with
 piecewise-polynomial factors) covering the parts involved.  Everything else
 falls back to adaptive quadrature with a tracked error bound.
+
+A structured function meets an exact measure (every weight, height, mixture
+weight and break a rational; action parts atoms or mixtures of atoms; some
+state part a density) in one grouped pass: atoms are evaluated as usual, and
+the density cells are grouped by (segment, action), or by segment for
+state-only functions.  Each group is integrated against each polynomial
+piece at once, with its moments summed as integers over common
+denominators.  The result, and any error raised, is what the per-component
+loop gives; that loop serves every other measure, and any function value
+that is a float, so float results keep their bits.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .spaces import (
     IntervalActions,
     StatePoint,
     StateSpace,
+    _segment_point,
 )
 
 DEFAULT_INTEGRATE_TOL = 1e-12
@@ -603,10 +614,153 @@ def integrate(mu: HybridMeasure, g: TestFunction, tol: float = DEFAULT_INTEGRATE
     comps = mu.components
     if not comps:
         return ZERO
+    if g.structured and _groupable(comps):
+        got = _grouped_integral(mu, g)
+        if got is not None:
+            return got
     share = tol / len(comps)
     total = ZERO
     for c in comps:
         total = total + _component_integral(c, g, share)
+    return total
+
+
+def _is_exact(x) -> bool:
+    return isinstance(x, (int, Fraction))
+
+
+def _exact_poly(poly: PiecewisePoly) -> bool:
+    return all(map(_is_exact, poly.breaks)) and all(_is_exact(c) for row in poly.coeffs for c in row)
+
+
+def _groupable(comps) -> bool:
+    """Every weight, height, mixture weight and break is exact, every action
+    part is an atom or a mixture of atoms, and some state part is a density."""
+    density = False
+    for c in comps:
+        if not c.weight.is_exact:
+            return False
+        s = c.state
+        if isinstance(s, StateDensity):
+            density = True
+            for h in s.heights:
+                if not h.is_exact:
+                    return False
+            for b in s.breaks:
+                if not _is_exact(b):
+                    return False
+        a = c.action
+        if isinstance(a, ActionMixture):
+            for w, p in a.parts:
+                if not (w.is_exact and isinstance(p, ActionAtom)):
+                    return False
+        elif isinstance(a, ActionDensity):
+            return False
+    return density
+
+
+def _grouped_integral(mu: HybridMeasure, g: TestFunction) -> Number | None:
+    """Exact integral of a structured g against a `_groupable` measure.
+
+    Atom components go through `g.evaluate` as in `_component_integral`.
+    Density cells are collected by (segment, action) for joint functions and
+    by segment for state-only ones, and each group is integrated against each
+    term's polynomial in one pass (`_cells_integral`), times the term's
+    action factor.  The checks the per-component route makes (marginal,
+    coverage, range) run here in its order and raise its errors.  Returns
+    None when g takes a value that is not exact, so that the per-component
+    route computes today's float result.
+    """
+    joint = g.arity != "state"
+    terms = g.structured if joint else ((g.structured[0], None),)
+    states = mu.domain.states
+    polys = [{} for _ in terms]  # per term: segment -> (polynomial, can a density escape it)
+    factors = [{} for _ in terms]  # per term: action -> action factor
+    groups: dict = {}  # (segment, action) or segment -> [(lo, hi, weight, height)]
+    total = Fraction(0)
+    for c in mu.components:
+        s, a, w = c.state, c.action, c.weight.value
+        if joint:
+            if a is None:
+                raise MeasureError(f"{g.name!r} needs actions but the measure is a marginal")
+            parts = a.parts if isinstance(a, ActionMixture) else ((ONE, a),)
+        else:
+            parts = ((action_mass(a), None),)
+        atom = isinstance(s, StateAtom)
+        for pw, apart in parts:
+            weight = w if pw is ONE else w * pw.value
+            if atom:
+                v = g.evaluate(s.point, apart.action) if joint else g.evaluate(s.point)
+                if not v.is_exact:
+                    return None
+                total += weight * v.value
+                continue
+            segment = s.segment
+            for t, (sf, af) in enumerate(terms):
+                entry = polys[t].get(segment)
+                if entry is None:
+                    poly = sf.poly_for(segment)
+                    if not _exact_poly(poly):
+                        return None
+                    # the measure keeps every density inside its segment
+                    decl = states.segment_decl(segment)
+                    entry = polys[t][segment] = (poly, poly.breaks[0] > decl.lo or poly.breaks[-1] < decl.hi)
+                poly, narrow = entry
+                if narrow and (s.breaks[0] < poly.breaks[0] or s.breaks[-1] > poly.breaks[-1]):
+                    raise CoverageError("integration range escapes the piecewise range")
+                if joint and apart.action not in factors[t]:
+                    v = af.value_at(apart.action)
+                    if not _is_exact(v):
+                        return None
+                    factors[t][apart.action] = v
+            cells = groups.setdefault((segment, apart.action) if joint else segment, [])
+            for lo, hi, h in zip(s.breaks, s.breaks[1:], s.heights):
+                cells.append((lo, hi, weight, h.value))
+    for t in range(len(terms)):
+        for key, cells in groups.items():
+            if not joint:
+                total += _cells_integral(polys[t][key][0], cells)
+            elif v := factors[t][key[1]]:
+                total += v * _cells_integral(polys[t][key[0]][0], cells)
+    return Number(total)
+
+
+def _cells_integral(poly: PiecewisePoly, cells) -> Fraction:
+    """Σ w·h·∫_lo^hi poly over exact cells (lo, hi, w, h) inside the
+    polynomial's range.
+
+    Every cell end and break is n/d over one common denominator d, and every
+    w·h is p/q over one common denominator q, so the power-m moment of a
+    piece, Σ w·h·(hi^m − lo^m) over its cells, is Σ p·(n_hi^m − n_lo^m) over
+    q·d^m.  A cell that straddles a break is split there, the sums run over
+    Python ints, and one Fraction is built per (piece, power).
+    """
+    d = math.lcm(
+        *{x.denominator for x in poly.breaks},
+        *{cell[0].denominator for cell in cells},
+        *{cell[1].denominator for cell in cells},
+    )
+    q = math.lcm(*{w.denominator * h.denominator for _, _, w, h in cells})
+    cuts = [x.numerator * (d // x.denominator) for x in poly.breaks]
+    pieces = [[] for _ in poly.coeffs]  # per piece: (p, n_lo, n_hi)
+    for lo, hi, w, h in cells:
+        p = w.numerator * h.numerator * (q // (w.denominator * h.denominator))
+        a = lo.numerator * (d // lo.denominator)
+        b = hi.numerator * (d // hi.denominator)
+        i = bisect.bisect_right(cuts, a) - 1
+        while b > cuts[i + 1]:
+            pieces[i].append((p, a, cuts[i + 1]))
+            a = cuts[i + 1]
+            i += 1
+        pieces[i].append((p, a, b))
+    total = Fraction(0)
+    for row, piece in zip(poly.coeffs, pieces):
+        if piece:
+            for j, coeff in enumerate(row):
+                if coeff:
+                    m = j + 1
+                    moment = sum(p * (b**m - a**m) for p, a, b in piece)
+                    total += coeff * Fraction(moment, m * q * d**m)
     return total
 
 
@@ -634,7 +788,7 @@ def _state_density_integral(d: StateDensity, g: TestFunction, tol: float) -> Num
     total = ZERO
     budget = tol / len(d.heights)
     for a, b, h in zip(d.breaks, d.breaks[1:], d.heights):
-        f = lambda x: g.sample(StatePoint(segment=d.segment, coord=x))
+        f = lambda x: g.sample(_segment_point(d.segment, x))
         v, e = _quad(f, float(a), float(b), budget / max(float(h.value), 1e-30))
         total = total + h * Number.approx(v, e)
     return total
@@ -656,14 +810,14 @@ def _pure_integral(s: StatePart, a: ActionAtom | ActionDensity, g: TestFunction,
         f = lambda t: g.sample(s.point, t)
         return _density_quad(a.breaks, a.heights, f, tol)
     if atomic_a:
-        f = lambda x: g.sample(StatePoint(segment=s.segment, coord=x), a.action)
+        f = lambda x: g.sample(_segment_point(s.segment, x), a.action)
         return _density_quad(s.breaks, s.heights, f, tol)
     # nested: outer over the state density, inner over the action density
     smass = max(float(s.mass().value), 1e-30)
     inner_tol = tol / (2.0 * smass)
 
     def outer(x):
-        p = StatePoint(segment=s.segment, coord=x)
+        p = _segment_point(s.segment, x)
         f = lambda t: g.sample(p, t)
         inner = _density_quad(a.breaks, a.heights, f, inner_tol)
         return float(inner.value)

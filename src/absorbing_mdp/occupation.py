@@ -96,12 +96,19 @@ def expected_hitting_time(occ: OccupationResult) -> Number:
     tail = occ.tail_bound
     if tail == ZERO:
         return total
-    v = float(total.value)
+    return _widened(total, tail)
+
+
+def _widened(x: Number, extra: Number) -> Number:
+    """x as a float whose err holds x's own err, the rounding of x to a
+    float and the whole of `extra` (value and err), summed as Fractions and
+    rounded up."""
+    v = float(x.value)
     err = (
-        abs(Fraction(v) - Fraction(total.value))
-        + Fraction(total.err)
-        + Fraction(tail.value)
-        + Fraction(tail.err)
+        abs(Fraction(v) - Fraction(x.value))
+        + Fraction(x.err)
+        + Fraction(extra.value)
+        + Fraction(extra.err)
     )
     return Number.approx(v, _round_up(err))
 
@@ -539,7 +546,9 @@ def survival_probs(
     model: MdpModel, strategy: Strategy, x0: StatePoint, n_max: int
 ) -> list[Number]:
     """P(still in play at time t) for t = 0..n_max.  Mass that reached the
-    frontier stays in the error bound forever (it may or may not be alive)."""
+    frontier stays in the error bound forever (it may or may not be alive):
+    once there is any, the result is a float whose err holds that mass
+    (value and err), the in-play mass's own err and its rounding."""
     parts = [(StateAtom(x0), ONE)]
     flow = _Flow()
     out: list[Number] = []
@@ -549,7 +558,7 @@ def survival_probs(
         if _is_zero(pool):
             out.append(alive)
         else:
-            out.append(Number.approx(float(alive.value), float(alive.err) + float(pool.value)))
+            out.append(_widened(alive, pool))
         if t < n_max:
             _, parts = _step(model, parts, strategy.stage(t), flow)
     return out

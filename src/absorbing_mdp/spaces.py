@@ -71,6 +71,21 @@ class StatePoint:
         return f"StatePoint({self.segment!r}, {self.coord})"
 
 
+_new = object.__new__
+
+
+def _segment_point(segment: str, coord: Coord) -> StatePoint:
+    """Trusted constructor for a segment point whose label and coordinate
+    are already known to be valid: it skips `__post_init__`.  The point
+    compares and hashes equal to `StatePoint(segment=segment, coord=coord)`."""
+    p = _new(StatePoint)
+    fields = p.__dict__
+    fields["atom"] = None
+    fields["segment"] = segment
+    fields["coord"] = coord
+    return p
+
+
 @dataclass(frozen=True)
 class StateSpace:
     atoms: tuple[AtomDecl, ...] = ()

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .numbers import Number, ZERO, ONE, nsum
@@ -938,8 +939,15 @@ def remark1(depth: int = 12) -> ZooEntry:
         "ws-extended": make_battery("ws-extended", "ws", ws_funcs, space, actions),
     }
 
-    def occ(strategy):
-        return occupation_unroll(model, strategy, x0, 2)
+    # the claims share one k = 1..depth sequence and one coin occupation;
+    # occupation results are immutable, so building each once changes no value
+    @cache
+    def occ_alternating(k: int):
+        return occupation_unroll(model, alternating(k), x0, 2)
+
+    @cache
+    def occ_coin():
+        return occupation_unroll(model, fair_coin, x0, 2)
 
     frozen_limits = {
         "unit": Number.exact(2),
@@ -959,24 +967,24 @@ def remark1(depth: int = 12) -> ZooEntry:
 
     def claim_times():
         for k in range(1, depth + 1):
-            if expected_hitting_time(occ(alternating(k))) != Number.exact(2):
+            if expected_hitting_time(occ_alternating(k)) != Number.exact(2):
                 return f"mean time off at k={k}"
-        if expected_hitting_time(occ(fair_coin)) != Number.exact(2):
+        if expected_hitting_time(occ_coin()) != Number.exact(2):
             return "mean time off for the coin"
         return "exact-match"
 
     def claim_defect_family():
         for k in range(1, depth + 1):
-            d = determinism_defect(occ(alternating(k)).measure)
+            d = determinism_defect(occ_alternating(k).measure)
             if d != ZERO:
                 return f"defect {d!r} at k={k}"
         return "exact-match"
 
     def claim_defect_limit():
-        return determinism_defect(occ(fair_coin).measure)
+        return determinism_defect(occ_coin().measure)
 
     def claim_limit_integrals():
-        lim = occ(fair_coin).measure
+        lim = occ_coin().measure
         for f in w_funcs:
             got = integrate(lim, f)
             if got != frozen_limits[f.name]:
@@ -984,12 +992,12 @@ def remark1(depth: int = 12) -> ZooEntry:
         return "exact-match"
 
     def claim_w_converges():
-        seq = [occ(alternating(k)).measure for k in range(1, depth + 1)]
-        return check_convergence(seq, occ(fair_coin).measure, batteries["w-poly"], tol=5e-3).verdict
+        seq = [occ_alternating(k).measure for k in range(1, depth + 1)]
+        return check_convergence(seq, occ_coin().measure, batteries["w-poly"], tol=5e-3).verdict
 
     def claim_mode_monotone():
-        seq = [occ(alternating(k)).measure for k in range(1, depth + 1)]
-        lim = occ(fair_coin).measure
+        seq = [occ_alternating(k).measure for k in range(1, depth + 1)]
+        lim = occ_coin().measure
         ws = check_convergence(seq, lim, batteries["ws-extended"], tol=5e-3).verdict
         w = check_convergence(seq, lim, batteries["w-poly"], tol=5e-3).verdict
         return f"ws:{ws},w:{w}"

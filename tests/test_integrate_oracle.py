@@ -1,0 +1,357 @@
+"""The grouped exact pass of `integrate` against the per-component loop.
+
+`integrate` integrates a structured test function against an exact measure
+(atom or mixture-of-atom action parts, at least one state density) by
+grouping the density cells by (segment, action) and summing integer moments
+per polynomial piece.  The per-component loop it replaces on those measures
+is kept here as `reference_integrate`.  It must give:
+
+* equal exact values, with err 0, on every such measure and function;
+* the same exception, type and message, wherever the loop raises one:
+  an uncovered segment or atom, a density escaping the polynomial's range
+  (even under a zero action factor), a missing action value, a joint
+  function on a marginal;
+* bit-identical floats wherever a float enters, in the measure or in a value
+  the function takes, and unchanged exact values on atom-only measures.
+"""
+
+import math
+import struct
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from absorbing_mdp import (
+    ActionAtom,
+    ActionFactor,
+    ActionMixture,
+    AtomDecl,
+    CONTINUOUS,
+    Domain,
+    FiniteActions,
+    HybridMeasure,
+    MeasureComponent,
+    MeasureError,
+    Number,
+    ONE,
+    PiecewisePoly,
+    SegmentDecl,
+    StateAtom,
+    StateDensity,
+    StateFactor,
+    StateSpace,
+    ZERO,
+    integrate,
+    marginal_state,
+    structured_joint_function,
+    structured_state_function,
+)
+from absorbing_mdp.measure import CoverageError, _groupable, _grouped_integral, _wrap_value, action_mass
+
+F = Fraction
+
+SEGMENTS = {"s": (F(0), F(1)), "t": (F(1, 3), F(2))}
+ATOMS = ("start", "Delta")
+ACTIONS = ("0", "1", "2")
+SPACE = StateSpace(
+    atoms=tuple(AtomDecl(a) for a in ATOMS),
+    segments=tuple(SegmentDecl(label, lo, hi) for label, (lo, hi) in SEGMENTS.items()),
+)
+DOMAIN = Domain(SPACE, FiniteActions(ACTIONS))
+BOUND = F(10**6)
+
+
+# -- the per-component loop, as the reference -------------------------------
+
+
+def reference_integrate(mu, g):
+    """`integrate` before the grouped pass, for structured g."""
+    total = ZERO
+    for c in mu.components:
+        total = total + reference_component(c, g)
+    return total
+
+
+def reference_component(c, g):
+    if g.arity == "state":
+        amass = action_mass(c.action)
+        if isinstance(c.state, StateAtom):
+            v = g.evaluate(c.state.point)
+        else:
+            v = g.structured[0].integral_against(c.state)
+        return c.weight * v * amass
+    if c.action is None:
+        raise MeasureError(f"{g.name!r} needs actions but the measure is a marginal")
+    parts = c.action.parts if isinstance(c.action, ActionMixture) else ((ONE, c.action),)
+    total = ZERO
+    for w, apart in parts:
+        total = total + w * reference_pure(c.state, apart, g)
+    return c.weight * total
+
+
+def reference_pure(s, a, g):
+    if isinstance(s, StateAtom):
+        return g.evaluate(s.point, a.action)
+    total = ZERO
+    for sf, af in g.structured:
+        total = total + sf.integral_against(s) * _wrap_value(af.value_at(a.action))
+    return total
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def outcome(call):
+    """('ok', exact?, value, err) with floats as bits, or ('raise', type, message)."""
+    try:
+        v = call()
+    except Exception as exc:  # compared below, type and message
+        return ("raise", type(exc), str(exc))
+    if v.is_exact:
+        return ("ok", True, v.value, v.err)
+    return ("ok", False, bits(v.value), bits(v.err))
+
+
+# -- strategies -------------------------------------------------------------
+
+DENOMINATORS = st.sampled_from([1, 2, 3, 5, 7, 12])
+coefficients = st.builds(F, st.integers(min_value=-36, max_value=36), DENOMINATORS)
+masses = st.builds(F, st.integers(min_value=0, max_value=36), DENOMINATORS)
+
+
+def points(lo, hi):
+    """Exact points of [lo, hi] on a grid of 1/3, 1/5, 1/7 or 1/15 steps."""
+    return st.builds(lambda k, d: lo + (hi - lo) * F(k % (d + 1), d),
+                     st.integers(min_value=0, max_value=15), st.sampled_from([3, 5, 7, 15]))
+
+
+@st.composite
+def densities(draw, label):
+    lo, hi = SEGMENTS[label]
+    breaks = sorted(draw(st.lists(points(lo, hi), min_size=2, max_size=5, unique=True)))
+    heights = tuple(Number.lift(draw(masses)) for _ in breaks[1:])
+    return StateDensity(label, tuple(breaks), heights)
+
+
+@st.composite
+def action_parts(draw, marginal_ok=False):
+    kinds = ["atom", "mixture"] + (["none"] if marginal_ok else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "none":
+        return None
+    if kind == "atom":
+        return ActionAtom(draw(st.sampled_from(ACTIONS)))
+    picks = draw(st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=3))
+    return ActionMixture(tuple((Number.lift(draw(masses)), ActionAtom(a)) for a in picks))
+
+
+@st.composite
+def components(draw, density=None, marginal_ok=False):
+    if density is None:
+        density = draw(st.booleans())
+    if density:
+        state = draw(densities(draw(st.sampled_from(sorted(SEGMENTS)))))
+    else:
+        state = StateAtom(SPACE.point(draw(st.sampled_from(ATOMS))))
+    return MeasureComponent(state, draw(action_parts(marginal_ok)), Number.lift(draw(masses)))
+
+
+@st.composite
+def measures(draw, marginal_ok=False, atoms_only=False):
+    """Exact measures; unless atoms_only, at least one component is a density."""
+    comps = draw(st.lists(components(density=False if atoms_only else None, marginal_ok=marginal_ok),
+                          min_size=0 if not atoms_only else 1, max_size=6))
+    if not atoms_only:
+        at = draw(st.integers(min_value=0, max_value=len(comps)))
+        comps.insert(at, draw(components(density=True, marginal_ok=marginal_ok)))
+    return HybridMeasure(DOMAIN, tuple(comps))
+
+
+@st.composite
+def polys(draw, label, narrow_ok=False):
+    """1-3 pieces with exact, non-dyadic breaks over the segment, or (narrow)
+    over part of it."""
+    lo, hi = SEGMENTS[label]
+    if narrow_ok and draw(st.booleans()):
+        lo, hi = sorted(draw(st.lists(points(lo, hi), min_size=2, max_size=2, unique=True)))
+    inner = draw(st.lists(points(lo, hi).filter(lambda x: lo < x < hi), max_size=2, unique=True))
+    breaks = (lo, *sorted(inner), hi)
+    rows = tuple(tuple(draw(st.lists(coefficients, min_size=1, max_size=4))) for _ in breaks[1:])
+    return PiecewisePoly(breaks, rows)
+
+
+@st.composite
+def state_factors(draw, faulty=False):
+    segs = [lbl for lbl in sorted(SEGMENTS) if not (faulty and draw(st.booleans()))]
+    atoms = [a for a in ATOMS if not (faulty and draw(st.integers(0, 4)) == 0)]
+    return StateFactor(
+        segment_polys=tuple((lbl, draw(polys(lbl, narrow_ok=faulty))) for lbl in segs),
+        atom_values=tuple((a, draw(coefficients)) for a in atoms),
+    )
+
+
+@st.composite
+def action_factors(draw, faulty=False):
+    if draw(st.booleans()):
+        return ActionFactor(const=draw(coefficients))
+    names = [a for a in ACTIONS if not (faulty and draw(st.integers(0, 4)) == 0)]
+    # zero factors are common, so that a zero factor meets a faulty state side
+    values = st.one_of(st.just(F(0)), coefficients)
+    return ActionFactor(table=tuple((a, draw(values)) for a in names))
+
+
+@st.composite
+def functions(draw, faulty=False):
+    if draw(st.booleans()):
+        return structured_state_function("g", CONTINUOUS, draw(state_factors(faulty)), BOUND)
+    terms = draw(st.lists(st.tuples(state_factors(faulty), action_factors(faulty)), min_size=1, max_size=3))
+    return structured_joint_function("g", CONTINUOUS, terms, BOUND)
+
+
+# -- properties -------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(measures(), functions())
+def test_grouped_pass_equals_the_loop(mu, g):
+    assert _groupable(mu.components)
+    want = reference_integrate(mu, g)
+    assert want.is_exact
+    got = _grouped_integral(mu, g)
+    assert got is not None and got.is_exact
+    assert got.value == want.value and got.err == 0
+    assert integrate(mu, g) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(measures(marginal_ok=True), functions(faulty=True))
+def test_grouped_pass_raises_what_the_loop_raises(mu, g):
+    assert outcome(lambda: integrate(mu, g)) == outcome(lambda: reference_integrate(mu, g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(measures(atoms_only=True), functions())
+def test_atom_only_measures_keep_their_exact_value(mu, g):
+    assert not _groupable(mu.components)
+    want = reference_integrate(mu, g)
+    got = integrate(mu, g)
+    assert got.is_exact and got == want
+
+
+def _float_weight(c):
+    return MeasureComponent(c.state, c.action, Number.approx(float(c.weight.value) + 0.1))
+
+
+def _float_height(c):
+    if not isinstance(c.state, StateDensity):
+        return _float_weight(c)
+    d = c.state
+    heights = (Number.approx(float(d.heights[0].value) / 3.0),) + d.heights[1:]
+    return MeasureComponent(StateDensity(d.segment, d.breaks, heights), c.action, c.weight)
+
+
+def _float_break(c):
+    if not isinstance(c.state, StateDensity):
+        return _float_weight(c)
+    d = c.state
+    first = float(d.breaks[0])
+    if first < SEGMENTS[d.segment][0]:
+        first = math.nextafter(first, math.inf)
+    if not first < d.breaks[1]:
+        return _float_weight(c)
+    return MeasureComponent(StateDensity(d.segment, (first, *d.breaks[1:]), d.heights), c.action, c.weight)
+
+
+def _float_mixture_weight(c):
+    if not isinstance(c.action, ActionMixture):
+        return _float_weight(c)
+    (w, p), *rest = c.action.parts
+    return MeasureComponent(c.state, ActionMixture(((Number.approx(float(w.value) / 7.0), p), *rest)), c.weight)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    measures(),
+    functions(),
+    st.sampled_from([_float_weight, _float_height, _float_break, _float_mixture_weight]),
+    st.data(),
+)
+def test_float_measures_keep_the_loop_bit_for_bit(mu, g, demote, data):
+    at = data.draw(st.integers(min_value=0, max_value=len(mu.components) - 1))
+    comps = list(mu.components)
+    comps[at] = demote(comps[at])
+    mu = HybridMeasure(DOMAIN, tuple(comps))
+    assert outcome(lambda: integrate(mu, g)) == outcome(lambda: reference_integrate(mu, g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(measures(), st.sampled_from(["coefficient", "action", "atom"]), st.data())
+def test_float_values_of_the_function_keep_the_loop_bit_for_bit(mu, where, data):
+    # a float the function takes: the grouped pass steps aside
+    sf = data.draw(state_factors())
+    if where == "coefficient":
+        label, poly = sf.segment_polys[0]
+        row = (float(poly.coeffs[0][0]) / 3.0,) + poly.coeffs[0][1:]
+        sf = StateFactor(((label, PiecewisePoly(poly.breaks, (row,) + poly.coeffs[1:])),) + sf.segment_polys[1:],
+                         sf.atom_values)
+    elif where == "atom":
+        sf = StateFactor(sf.segment_polys, tuple((a, float(v) + 0.1) for a, v in sf.atom_values))
+    af = ActionFactor(const=0.3) if where == "action" else data.draw(action_factors())
+    g = structured_joint_function("g", CONTINUOUS, ((sf, af),), BOUND)
+    assert outcome(lambda: integrate(mu, g)) == outcome(lambda: reference_integrate(mu, g))
+
+
+# -- the named refusals -----------------------------------------------------
+
+
+def _unit_poly():
+    return PiecewisePoly((F(0), F(1, 3), F(1)), ((F(0), F(1)), (F(1, 3),)))
+
+
+def _cells_measure(action=ActionAtom("1")):
+    cells = [
+        MeasureComponent(StateDensity("s", (F(j, 5), F(j + 1, 5)), (ONE,)), action, Number.exact(1, 2))
+        for j in range(5)
+    ]
+    start = MeasureComponent(StateAtom(SPACE.point("start")), ActionAtom("0"), ONE)
+    return HybridMeasure(DOMAIN, (start, *cells))
+
+
+def _same_refusal(mu, g, kind):
+    got = outcome(lambda: integrate(mu, g))
+    assert got == outcome(lambda: reference_integrate(mu, g))
+    assert got[:2] == ("raise", kind)
+
+
+def test_uncovered_segment_is_refused():
+    sf = StateFactor(segment_polys=(("t", _unit_poly()),), atom_values=(("start", F(1)),))
+    _same_refusal(_cells_measure(), structured_state_function("g", CONTINUOUS, sf, BOUND), CoverageError)
+    joint = structured_joint_function("g", CONTINUOUS, ((sf, ActionFactor(const=F(1))),), BOUND)
+    _same_refusal(_cells_measure(), joint, CoverageError)
+
+
+def test_escaping_density_is_refused_under_a_zero_action_factor():
+    narrow = PiecewisePoly((F(0), F(1, 3), F(2, 3)), ((F(1),), (F(2),)))
+    sf = StateFactor(segment_polys=(("s", narrow),), atom_values=(("start", F(1)),))
+    zero = ActionFactor(table=(("0", F(1)), ("1", F(0)), ("2", F(0))))
+    g = structured_joint_function("g", CONTINUOUS, ((sf, zero),), BOUND)
+    _same_refusal(_cells_measure(ActionAtom("1")), g, CoverageError)
+
+
+def test_joint_function_on_a_marginal_is_refused():
+    sf = StateFactor(segment_polys=(("s", _unit_poly()),), atom_values=(("start", F(1)),))
+    g = structured_joint_function("g", CONTINUOUS, ((sf, ActionFactor(const=F(1))),), BOUND)
+    _same_refusal(marginal_state(_cells_measure()), g, MeasureError)
+
+
+def test_cells_straddling_a_break_are_split_there():
+    # upper-third indicator times the action: cells of width 1/5 straddle 1/3
+    upper = PiecewisePoly((F(0), F(1, 3), F(1)), ((F(0),), (F(1),)), knots=(F(0), F(0), F(1)))
+    sf = StateFactor(segment_polys=(("s", upper),), atom_values=(("start", F(0)),))
+    af = ActionFactor(table=(("0", F(0)), ("1", F(1)), ("2", F(2))))
+    g = structured_joint_function("g", CONTINUOUS, ((sf, af),), BOUND)
+    got = integrate(_cells_measure(ActionAtom("2")), g)
+    # half-weight cells of the uniform density, times 2, over (1/3, 1]
+    assert got == Number.exact(2, 3)
+    assert got == reference_integrate(_cells_measure(ActionAtom("2")), g)

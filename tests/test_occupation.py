@@ -317,3 +317,26 @@ def test_expected_time_err_keeps_the_tail_err(ladder8):
     tail = Number.approx(1e-3, 5e-4)
     mean = expected_hitting_time(OccupationResult(occ.measure, tail, occ.method))
     assert F(mean.err) >= F(tail.value) + F(tail.err)
+
+
+def test_survival_err_holds_the_frontier_pool_err():
+    # c1 -> c2 w.p. 0.1, c2 -> frontier w.p. 0.7: the float pool 0.1 * 0.7
+    # rounds below the exact product of the two floats, and only its err
+    # covers the difference
+    p, q = 0.1, 0.7
+    assert F(p * q) < F(p) * F(q)
+    space = StateSpace(atoms=(AtomDecl("c1"), AtomDecl("c2"), AtomDecl("c3"), AtomDecl("Delta")))
+    rows = ((("c1", "x"), (("c2", Number.approx(p)), ("Delta", Number.approx(1 - p)))),
+            (("c2", "x"), (("c3", Number.approx(q)), ("Delta", Number.approx(1 - q)))),
+            (("c3", "x"), (("Delta", ONE),)),
+            (("Delta", "x"), (("Delta", ONE),)))
+    model = MdpModel(name="float-frontier", states=space, actions=FiniteActions(("x",)),
+                     kernel=TransitionKernel(rows=rows), frontier=frozenset({"c3"}))
+    probs = survival_probs(model, deterministic_stationary(default="x"), space.point("c1"), 3)
+    assert probs[0] == ONE
+    # from t = 2 on nothing is in play and the frontier holds 0.1 * 0.7
+    # exactly: the survival probability lies between 0 and that pool
+    for got in probs[2:]:
+        assert not got.is_exact
+        for truth in (F(0), F(p) * F(q)):
+            assert abs(F(got.value) - truth) <= F(got.err)

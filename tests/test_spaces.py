@@ -1,5 +1,6 @@
 """State and action space declarations: lookups, topology flags, bounds."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from absorbing_mdp import (
     IntervalActions,
     LIMIT_POINT,
     SegmentDecl,
+    StatePoint,
     StateSpace,
     is_isolated,
 )
+from absorbing_mdp.spaces import _segment_point
 
 
 def make_space():
@@ -70,6 +73,19 @@ def test_segment_point_bounds():
     sp.segment_point("seg", Fraction(2))
     with pytest.raises(ValueError):
         sp.segment_point("seg", Fraction(5, 2))
+
+
+@pytest.mark.parametrize("coord", [0.5, 0.0, -0.0, Fraction(3, 2), 1e-300])
+def test_trusted_segment_point_equals_the_public_one(coord):
+    public = StatePoint(segment="seg", coord=coord)
+    trusted = _segment_point("seg", coord)
+    assert type(trusted) is StatePoint
+    assert trusted == public and hash(trusted) == hash(public)
+    assert repr(trusted) == repr(public)
+    assert dataclasses.astuple(trusted) == dataclasses.astuple(public)
+    assert {public: 1}[trusted] == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trusted.coord = 1.0
 
 
 def test_is_isolated_flag():
