@@ -89,9 +89,25 @@ from .topology import (
     make_battery,
     multi_initial_check,
 )
-from .zoo import ZOO, Claim, ZooEntry, load_zoo
 
 __version__ = "0.1.0"
+
+# The paper's instances are imported on first use: no analysis needs them,
+# and `zoo` is the largest module to import.
+_ZOO_NAMES = ("ZOO", "Claim", "ZooEntry", "load_zoo")
+
+
+def __getattr__(name):
+    if name in _ZOO_NAMES:
+        from . import zoo
+
+        return getattr(zoo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_ZOO_NAMES])
+
 
 __all__ = [
     "Number", "ZERO", "ONE", "format_number", "nsum", "parse_number",

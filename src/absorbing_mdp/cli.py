@@ -47,8 +47,6 @@ from .serialize import (
     measure_to_dict,
     model_from_dict,
 )
-from .reproduce import format_lines, report_to_dict, reproduce
-from .zoo import ZOO
 from .spaces import StatePoint
 
 
@@ -84,6 +82,8 @@ def _parse_x0(space, text: str) -> StatePoint:
 
 def _load_entry(args):
     if getattr(args, "zoo", None):
+        from .zoo import ZOO
+
         if args.zoo not in ZOO:
             raise CliInputError(f"unknown instance {args.zoo!r}; have {', '.join(sorted(ZOO))}")
         return ZOO[args.zoo]()
@@ -186,6 +186,8 @@ def _csv_text(rows) -> str:
 
 
 def cmd_list(args) -> int:
+    from .zoo import ZOO
+
     lines = []
     for name in sorted(ZOO):
         entry = ZOO[name]()
@@ -448,6 +450,8 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .reproduce import format_lines, report_to_dict, reproduce
+
     try:
         rep = reproduce(args.target)
     except KeyError as exc:

@@ -279,7 +279,17 @@ def total_mass(mu: HybridMeasure) -> Number:
 
 
 def marginal_state(mu: HybridMeasure) -> HybridMeasure:
-    """Project onto the state space, merging equal state parts."""
+    """Project onto the state space, merging equal state parts.
+
+    An exact marginal whose state parts are all distinct is its own
+    projection and is returned as is.  A float weight is still multiplied
+    by the action mass 1, which adds rounding slop to its err."""
+    comps = mu.components
+    if (
+        all(c.action is None and c.weight.is_exact for c in comps)
+        and len({c.state for c in comps}) == len(comps)
+    ):
+        return mu
     merged: dict = {}
     order: list = []
     for c in mu.components:
@@ -559,7 +569,7 @@ class TestFunction:
             raise TypeError(f"evaluator returned {type(raw).__name__}")
         err = v.err
         limit = float(self.bound) + (float(err) + 1e-12) if err else self._limit
-        if float(abs(v.value)) > limit:
+        if abs(float(v.value)) > limit:
             raise BoundViolation(
                 f"{self.name!r} evaluated to {float(v.value)} beyond bound {self.bound}"
             )
@@ -771,7 +781,10 @@ def _component_integral(c: MeasureComponent, g: TestFunction, tol: float) -> Num
             v = g.evaluate(c.state.point)
         else:
             v = _state_density_integral(c.state, g, tol)
-        return c.weight * v * amass
+        r = c.weight * v
+        # times an exact ONE is the identity; a float product keeps the
+        # multiply for the slop it adds to the err
+        return r if amass is ONE and r.is_exact else r * amass
     if c.action is None:
         raise MeasureError(f"{g.name!r} needs actions but the measure is a marginal")
     parts = c.action.parts if isinstance(c.action, ActionMixture) else ((ONE, c.action),)

@@ -6,6 +6,26 @@ A Number is either exact (a `Fraction`, error identically zero) or approximate
 operands stays exact; as soon as a float operand enters, the result is
 demoted to the float backend and the bound is propagated first-order, with a
 small per-operation slop for rounding.  Exact values never degrade silently.
+
+Exact arithmetic on operands whose value is exactly a `Fraction` (not a
+subclass) runs on a small integer kernel: `_sum` and `_prod` apply the
+gcd-reduced sum and product rules (Knuth, TAOCP vol. 2, section 4.5.1) that
+`Fraction`'s own `_add`/`_mul`/`_div` use, to the numerators and
+denominators, without `Fraction`'s operator dispatch.  Their results are
+built by `_frac`, which fills the two slots of `Fraction` directly.  That
+is safe because the kernel is only ever given canonical inputs (lowest
+terms, positive denominator, as every `Fraction` holds) and the rules keep
+results canonical, so the object is the one `Fraction(n, d)` would build:
+equal, hash-equal, same repr and pickle.  It relies on `Fraction` storing
+exactly the slots `_numerator` and `_denominator`, as it does in CPython
+3.10-3.13.
+
+Float, mixed and subclass operands take the generic path: the float
+formulas with their first-order bounds, or `Fraction`'s own operator for a
+subclass.  A value is a `Fraction` or a float
+and nothing else, so the dispatch asks `isinstance(x, float)`, a plain type
+check, rather than `isinstance(x, Fraction)`, which runs the instance check
+of `Fraction`'s abstract base class.
 """
 
 from __future__ import annotations
@@ -13,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 # A few ulps above IEEE double precision, charged once per float operation.
 _EPS = 2.0 ** -50
@@ -39,20 +60,22 @@ class Number:
 
     def __init__(self, value: Fraction | float, err: Fraction | float = _NO_ERR):
         v, e = value, err
-        if isinstance(v, int):
-            v = Fraction(v)
-        if isinstance(v, Fraction):
-            if e != 0:
+        # exact: a Fraction (tested first), an int or a Fraction subclass
+        if type(v) is Fraction or not isinstance(v, float):
+            if type(v) is not Fraction:
+                if isinstance(v, int):
+                    v = Fraction(v)
+                elif not isinstance(v, Fraction):
+                    raise TypeError(f"unsupported value type {type(v).__name__}")
+            if e is not _NO_ERR and e != 0:
                 raise ValueError("exact value cannot carry an error bound")
             e = _NO_ERR
-        elif isinstance(v, float):
+        else:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite value {v!r}")
             e = float(e)
             if not (e >= 0.0) or not math.isfinite(e):
                 raise ValueError(f"bad error bound {e!r}")
-        else:
-            raise TypeError(f"unsupported value type {type(v).__name__}")
         _set_value(self, v)
         _set_err(self, e)
 
@@ -94,7 +117,8 @@ class Number:
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.value, Fraction)
+        # the value is a Fraction or a float
+        return not isinstance(self.value, float)
 
     def as_fraction(self) -> Fraction:
         if not self.is_exact:
@@ -112,9 +136,11 @@ class Number:
         return Number.lift(other)
 
     def __add__(self, other) -> "Number":
-        o = self._coerce(other)
+        o = other if type(other) is Number else self._coerce(other)
         a, b = self.value, o.value
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
+        if type(a) is Fraction and type(b) is Fraction:
+            return _exact(_sum(a._numerator, a._denominator, b._numerator, b._denominator))
+        if not (isinstance(a, float) or isinstance(b, float)):
             return _exact(a + b)
         v = float(a) + float(b)
         return Number(v, float(self.err) + float(o.err) + _slop(v))
@@ -122,20 +148,34 @@ class Number:
     __radd__ = __add__
 
     def __neg__(self) -> "Number":
-        if isinstance(self.value, Fraction):
-            return _exact(-self.value)
-        return Number(-self.value, self.err)
+        v = self.value
+        if type(v) is Fraction:
+            return _exact(_frac(-v._numerator, v._denominator))
+        if isinstance(v, float):
+            return Number(-v, self.err)
+        return _exact(-v)
 
     def __sub__(self, other) -> "Number":
-        return self + (-self._coerce(other))
+        # a - b rounds to the same float as a + (-b): the bound is that of
+        # adding the negation
+        o = other if type(other) is Number else self._coerce(other)
+        a, b = self.value, o.value
+        if type(a) is Fraction and type(b) is Fraction:
+            return _exact(_sum(a._numerator, a._denominator, -b._numerator, b._denominator))
+        if not (isinstance(a, float) or isinstance(b, float)):
+            return _exact(a - b)
+        v = float(a) - float(b)
+        return Number(v, float(self.err) + float(o.err) + _slop(v))
 
     def __rsub__(self, other) -> "Number":
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> "Number":
-        o = self._coerce(other)
+        o = other if type(other) is Number else self._coerce(other)
         a, b = self.value, o.value
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
+        if type(a) is Fraction and type(b) is Fraction:
+            return _exact(_prod(a._numerator, a._denominator, b._numerator, b._denominator))
+        if not (isinstance(a, float) or isinstance(b, float)):
             return _exact(a * b)
         a, b = float(a), float(b)
         ea, eb = float(self.err), float(o.err)
@@ -145,9 +185,15 @@ class Number:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Number":
-        o = self._coerce(other)
+        o = other if type(other) is Number else self._coerce(other)
         a, b = self.value, o.value
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
+        if type(a) is Fraction and type(b) is Fraction and b._numerator:
+            # times the reciprocal, with its sign moved to the numerator
+            nb, db = b._numerator, b._denominator
+            if nb < 0:
+                nb, db = -nb, -db
+            return _exact(_prod(a._numerator, a._denominator, db, nb))
+        if not (isinstance(a, float) or isinstance(b, float)):
             # Fraction division by zero raises ZeroDivisionError itself
             return _exact(a / b)
         a, b = float(a), float(b)
@@ -159,34 +205,55 @@ class Number:
         return Number(v, bound + _slop(v))
 
     def __abs__(self) -> "Number":
-        if isinstance(self.value, Fraction):
-            return _exact(abs(self.value))
-        return Number(abs(self.value), self.err)
+        v = self.value
+        if type(v) is Fraction:
+            return self if v._numerator >= 0 else _exact(_frac(-v._numerator, v._denominator))
+        if isinstance(v, float):
+            return Number(abs(v), self.err)
+        return _exact(abs(v))
 
     # -- comparisons (by central value; certified variants below) ----------
 
+    def _ordered(self, other):
+        """The two sides that `<`, `<=`, `>` and `>=` compare: the
+        cross products n1*d2 and n2*d1 for exact operands, else the
+        central values themselves."""
+        o = other if type(other) is Number else self._coerce(other)
+        a, b = self.value, o.value
+        if type(a) is Fraction and type(b) is Fraction:
+            return a._numerator * b._denominator, b._numerator * a._denominator
+        return a, b
+
     def __lt__(self, other):
-        return self.value < self._coerce(other).value
+        """Order by central value: the err bounds are ignored, so an
+        approximate Number compares as its float.  `certainly_ge` and
+        `certainly_le` take the bounds into account.  `<=`, `>` and `>=`
+        compare the same way."""
+        a, b = self._ordered(other)
+        return a < b
 
     def __le__(self, other):
-        return self.value <= self._coerce(other).value
+        a, b = self._ordered(other)
+        return a <= b
 
     def __gt__(self, other):
-        return self.value > self._coerce(other).value
+        a, b = self._ordered(other)
+        return a > b
 
     def __ge__(self, other):
-        return self.value >= self._coerce(other).value
+        a, b = self._ordered(other)
+        return a >= b
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Number.lift(other)
-        if not isinstance(other, Number):
-            return NotImplemented
-        return (
-            self.is_exact == other.is_exact
-            and self.value == other.value
-            and self.err == other.err
-        )
+        if type(other) is not Number:
+            if isinstance(other, (int, Fraction)):
+                other = Number.lift(other)
+            elif not isinstance(other, Number):
+                return NotImplemented
+        a, b = self.value, other.value
+        if type(a) is Fraction and type(b) is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        return self.is_exact == other.is_exact and a == b and self.err == other.err
 
     def __hash__(self):
         return hash((self.is_exact, self.value, self.err))
@@ -225,15 +292,67 @@ def _exact(v: Fraction) -> Number:
     return n
 
 
+# -- the integer kernel of exact arithmetic ---------------------------------
+#
+# Operands and results are canonical: lowest terms, positive denominator.
+
+
+def _frac(n: int, d: int) -> Fraction:
+    """Trusted constructor of the Fraction n/d, which must be canonical."""
+    f = _new(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Fraction:
+    """na/da + nb/db: only the common part g of the denominators can
+    cancel, and only against gcd(t, g)."""
+    g = gcd(da, db)
+    if g == 1:
+        return _frac(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _frac(t, s * db)
+    return _frac(t // g2, s * (db // g2))
+
+
+def _prod(na: int, da: int, nb: int, db: int) -> Fraction:
+    """na/da * nb/db, cancelling each numerator against the other
+    denominator before multiplying."""
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _frac(na * nb, da * db)
+
+
 ZERO = Number.exact(0)
 ONE = Number.exact(1)
 
 
 def nsum(items) -> Number:
-    total = ZERO
+    """The sum of `items`, left to right.  A run of exact Numbers from the
+    start is summed on the kernel without boxing the partial sums; from the
+    first other item on, the sum goes through `+`."""
+    total = ZERO.value
+    items = iter(items)
     for it in items:
-        total = total + it
-    return total
+        v = it.value if type(it) is Number else None
+        if type(v) is Fraction:
+            total = _sum(total._numerator, total._denominator, v._numerator, v._denominator)
+            continue
+        acc = _exact(total) + it
+        for it in items:
+            acc = acc + it
+        return acc
+    return _exact(total)
 
 
 def format_number(n: Number) -> str:

@@ -34,6 +34,7 @@ from absorbing_mdp import (
     structured_state_function,
     total_mass,
 )
+from absorbing_mdp.measure import action_mass
 
 from conftest import segment_space
 
@@ -142,6 +143,71 @@ def test_marginal_drops_actions_and_keeps_state_mass():
     assert total_mass(m) == total_mass(mu)
     # idempotent
     assert total_mass(marginal_state(m)) == total_mass(mu)
+
+
+def merge_reference(mu):
+    """The projection as a plain merge: each weight times its action mass,
+    equal state parts summed in first-seen order."""
+    merged = {}
+    for c in mu.components:
+        w = c.weight * action_mass(c.action)
+        merged[c.state] = merged[c.state] + w if c.state in merged else w
+    return HybridMeasure(mu.domain, tuple(MeasureComponent(s, None, w) for s, w in merged.items()))
+
+
+@st.composite
+def marginal_like(draw):
+    dom = unit_domain()
+    pool = [
+        StateAtom(dom.states.point("start")),
+        StateAtom(dom.states.point("Delta")),
+        density((0, 1), (1,)),
+        density((0, F(1, 2), 1), (2, 0)),
+    ]
+    comps = []
+    for _ in range(draw(st.integers(0, 5))):
+        state = draw(st.sampled_from(pool))
+        action = draw(st.sampled_from([None, None, ActionAtom(F(1, 2))]))
+        if draw(st.booleans()):
+            weight = Number.exact(draw(weights))
+        else:
+            weight = Number.approx(draw(st.floats(0, 5)), draw(st.floats(0, 1e-6)))
+        comps.append(MeasureComponent(state, action, weight))
+    return HybridMeasure(dom, tuple(comps))
+
+
+@given(marginal_like())
+def test_marginal_matches_the_merge_and_skips_exact_marginals(mu):
+    got = marginal_state(mu)
+    assert got == merge_reference(mu)
+    comps = mu.components
+    own = (
+        all(c.action is None and c.weight.is_exact for c in comps)
+        and len({c.state for c in comps}) == len(comps)
+    )
+    assert (got is mu) == own
+
+
+def test_float_atom_integral_keeps_the_err_of_the_action_mass_multiply():
+    # (weight * value) * ONE, then added to ZERO, as floats in the order of
+    # Number's formulas: the exact action mass 1 still costs one slop
+    def slop(v):
+        return 2.0 ** -50 * max(1.0, abs(v))
+
+    dom = unit_domain()
+    w, ew, g = 0.3, 1e-10, 0.7
+    mu = HybridMeasure(
+        dom, (MeasureComponent(StateAtom(dom.states.point("start")), None, Number.approx(w, ew)),)
+    )
+    f = TestFunction("const", MEASURABLE, lambda p: g, bound=F(1), arity="state")
+    got = integrate(mu, f)
+    v = w * g
+    e = abs(w) * 0.0 + abs(g) * ew + ew * 0.0 + slop(v)
+    skipped = 0.0 + e + slop(0.0 + v)
+    e = abs(v) * 0.0 + abs(1.0) * e + e * 0.0 + slop(v * 1.0)
+    want = 0.0 + e + slop(0.0 + v)
+    assert (got.value, got.err) == (0.0 + v * 1.0, want)
+    assert got.err != skipped
 
 
 # -- piecewise polynomials -------------------------------------------------

@@ -1,6 +1,7 @@
 """Certified scalar arithmetic: exactness, error propagation, comparisons."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -226,3 +227,208 @@ def test_float_results_keep_the_finiteness_check():
         big * big
     with pytest.raises(ValueError):
         big + big
+
+
+# -- the integer kernel against fractions.Fraction ----------------------------
+
+# Operands the kernel meets on the ladder: zero, integers, small rationals,
+# and rationals with denominators near 2^4096 that share powers of two (so
+# that every cancellation branch of the sum and product rules runs).
+kernel_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-(10**6), 10**6).map(Fraction),
+    fractions,
+    st.builds(Fraction, st.integers(-(2**4200), 2**4200), st.integers(2**4090, 2**4100)),
+    st.builds(
+        lambda n, e, odd: Fraction(n, odd << e),
+        st.integers(-(2**4100), 2**4100),
+        st.integers(4090, 4100),
+        st.sampled_from([1, 3, 5, 7, 9, 15]),
+    ),
+)
+
+
+def assert_canonical(got, want):
+    """`got` is the Fraction `Fraction(n, d)` would build for `want`."""
+    assert type(got) is Fraction
+    n, d = got.numerator, got.denominator
+    assert d > 0 and math.gcd(n, d) == 1
+    ref = Fraction(n, d)
+    assert got == want == ref
+    assert hash(got) == hash(ref) and repr(got) == repr(ref)
+    assert pickle.dumps(got) == pickle.dumps(ref)
+    twin = pickle.loads(pickle.dumps(got))
+    assert type(twin) is Fraction and twin == ref
+
+
+@given(kernel_fractions, kernel_fractions)
+def test_kernel_arithmetic_matches_fraction(a, b):
+    x, y = Number(a), Number(b)
+    cases = [
+        (x + y, a + b),
+        (x - y, a - b),
+        (x * y, a * b),
+        (-x, -a),
+        (abs(x), abs(a)),
+        (x + 3, a + 3),
+        (3 + x, 3 + a),
+        (1 - x, 1 - a),
+        (x * 2, a * 2),
+        (x - a, Fraction(0)),
+    ]
+    if b != 0:
+        cases.append((x / y, a / b))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for got, want in cases:
+        assert got.is_exact and type(got.err) is Fraction and got.err == 0
+        assert_canonical(got.value, want)
+
+
+@given(kernel_fractions, kernel_fractions)
+def test_kernel_comparisons_match_fraction(a, b):
+    x, y = Number(a), Number(b)
+    assert (x < y) == (a < b)
+    assert (x <= y) == (a <= b)
+    assert (x > y) == (a > b)
+    assert (x >= y) == (a >= b)
+    assert (x == y) == (a == b)
+    assert (x == b) == (a == b)
+    assert (x < b) == (a < b) and (x >= 1) == (a >= 1)
+    assert x == Number(Fraction(a.numerator, a.denominator))
+
+
+@given(st.lists(kernel_fractions, max_size=3))
+def test_kernel_nsum_matches_fraction(parts):
+    got = nsum(Number(p) for p in parts)
+    assert got.is_exact and got.err == 0
+    assert_canonical(got.value, sum(parts, Fraction(0)))
+
+
+# The float formulas as they stood before the kernel: the kernel must leave
+# float and mixed arithmetic bit for bit as it was.
+
+
+def _old_slop(v):
+    return 2.0 ** -50 * max(1.0, abs(v))
+
+
+def old_add(x, y):
+    v = float(x.value) + float(y.value)
+    return v, float(x.err) + float(y.err) + _old_slop(v)
+
+
+def old_sub(x, y):
+    # x + (-y)
+    v = float(x.value) + float(-y.value)
+    return v, float(x.err) + float(y.err) + _old_slop(v)
+
+
+def old_mul(x, y):
+    a, b = float(x.value), float(y.value)
+    ea, eb = float(x.err), float(y.err)
+    v = a * b
+    return v, abs(a) * eb + abs(b) * ea + ea * eb + _old_slop(v)
+
+
+def old_div(x, y):
+    a, b = float(x.value), float(y.value)
+    ea, eb = float(x.err), float(y.err)
+    if abs(b) <= eb:
+        return None
+    v = a / b
+    return v, (ea + abs(v) * eb) / (abs(b) - eb) + _old_slop(v)
+
+
+def bits(v, e):
+    return v.hex(), e.hex()
+
+
+operands = st.one_of(approx_numbers(), fractions.map(Number))
+
+
+@given(operands, operands)
+def test_float_and_mixed_arithmetic_keeps_its_bits(x, y):
+    if x.is_exact and y.is_exact:
+        return
+    for op, old in ((Number.__add__, old_add), (Number.__sub__, old_sub), (Number.__mul__, old_mul)):
+        got = op(x, y)
+        assert not got.is_exact
+        assert bits(got.value, got.err) == bits(*old(x, y))
+    want = old_div(x, y)
+    if want is None:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        got = x / y
+        assert bits(got.value, got.err) == bits(*want)
+    for got, (v, e) in (
+        (-x, (-float(x.value), float(x.err))),
+        (abs(x), (abs(float(x.value)), float(x.err))),
+    ):
+        if not x.is_exact:
+            assert bits(got.value, got.err) == bits(v, e)
+    assert (x < y) == (x.value < y.value) and (x >= y) == (x.value >= y.value)
+    assert (x == y) == (x.is_exact == y.is_exact and x.value == y.value and x.err == y.err)
+
+
+@given(st.lists(operands, max_size=6))
+def test_nsum_with_floats_adds_left_to_right(parts):
+    want = ZERO
+    for p in parts:
+        want = want + p
+    got = nsum(parts)
+    assert got.is_exact == want.is_exact
+    if got.is_exact:
+        assert_canonical(got.value, want.value)
+    else:
+        assert bits(got.value, got.err) == bits(float(want.value), float(want.err))
+
+
+class Spy(Fraction):
+    """A Fraction subclass that records the operators Python calls on it."""
+
+    seen: list = []
+    __hash__ = Fraction.__hash__
+
+
+def _spying(name):
+    def op(self, *args):
+        Spy.seen.append(name)
+        return getattr(Fraction, name)(self, *args)
+
+    return op
+
+
+for _name in (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__abs__",
+    "__lt__", "__le__", "__gt__", "__ge__", "__eq__",
+):
+    setattr(Spy, _name, _spying(_name))
+
+
+def test_fraction_subclass_operands_take_the_generic_path():
+    s, h = Number(Spy(-1, 3)), Number.exact(1, 2)
+    assert type(s.value) is Spy
+    cases = [
+        (lambda: s + h, Fraction(1, 6)),
+        (lambda: h + s, Fraction(1, 6)),
+        (lambda: s - h, Fraction(-5, 6)),
+        (lambda: h - s, Fraction(5, 6)),
+        (lambda: s * h, Fraction(-1, 6)),
+        (lambda: h * s, Fraction(-1, 6)),
+        (lambda: s / h, Fraction(-2, 3)),
+        (lambda: h / s, Fraction(-3, 2)),
+        (lambda: -s, Fraction(1, 3)),
+        (lambda: abs(s), Fraction(1, 3)),
+        (lambda: s < h, True),
+        (lambda: s >= h, False),
+        (lambda: s == h, False),
+    ]
+    for run, want in cases:
+        Spy.seen.clear()
+        got = run()
+        assert Spy.seen, "the subclass's own operator was bypassed"
+        assert (got.value if isinstance(got, Number) else got) == want

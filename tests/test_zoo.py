@@ -1,6 +1,7 @@
 """Built-in instances: structural health plus independent numerical oracles
 for a few of their frozen values."""
 
+import subprocess
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from absorbing_mdp import (
 )
 from absorbing_mdp.reproduce import REQUIRED_TAGS
 from absorbing_mdp.zoo import ZOO, atom_masses, example2, load_zoo, remark1
+
+from conftest import module_command
 
 F = Fraction
 
@@ -119,3 +122,27 @@ def test_marginal_of_sliding_mass_is_one_step():
     assert len(m.components) == 1
     assert m.components[0].state.point.atom == "1/7"
     assert occ.measure.total_mass().value == 1
+
+
+def test_zoo_is_imported_on_first_use():
+    # a fresh interpreter: this process has imported the zoo already
+    code = "\n".join([
+        "import sys, absorbing_mdp, absorbing_mdp.cli",
+        "assert 'absorbing_mdp.zoo' not in sys.modules",
+        "assert 'absorbing_mdp.reproduce' not in sys.modules",
+        "assert set(absorbing_mdp.__all__) <= set(dir(absorbing_mdp))",
+        "ns = {}",
+        "exec('from absorbing_mdp import *', ns)",
+        "assert set(ns) - {'__builtins__'} == set(absorbing_mdp.__all__)",
+        "from absorbing_mdp import zoo",
+        "assert ns['ZOO'] is zoo.ZOO and ns['load_zoo'] is zoo.load_zoo",
+        "try:",
+        "    absorbing_mdp.no_such_name",
+        "except AttributeError:",
+        "    pass",
+        "else:",
+        "    raise SystemExit('missing names must raise AttributeError')",
+    ])
+    cmd, env = module_command()
+    proc = subprocess.run(cmd[:1] + ["-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
