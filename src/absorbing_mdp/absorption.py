@@ -20,17 +20,12 @@ from fractions import Fraction
 from typing import Callable
 
 from .numbers import Number, ZERO, ONE, nsum
-from .measure import StateAtom
-from .mdp import (
-    FiniteActions,
-    FixedDiffuse,
-    MdpModel,
-    ModelError,
-    StrategyFamily,
-    resolve_rule,
-)
+from .mdp import FiniteActions, MdpModel, ModelError, StrategyFamily
 from .occupation import (
+    _ACTION_DENSITY,
+    SolverError,
     Truncation,
+    _atom_rows,
     expected_hitting_time,
     occupation_countable,
     survival_probs,
@@ -63,29 +58,12 @@ class ValueFunction:
         raise MissingValueError(f"no value for state {name!r}")
 
 
-def _successor_rows(model: MdpModel, atom: str):
-    """Per-action successor distributions for one atom."""
-    if not isinstance(model.actions, FiniteActions):
-        raise ModelError("hitting-time analysis needs finite actions")
-    rule = resolve_rule(model, StateAtom(model.states.point(atom)))
-    if rule == "table":
-        out = []
-        for a in model.actions.names:
-            row = model.kernel.row(atom, a)
-            if row is None:
-                raise ModelError(f"no kernel row for ({atom!r}, {a!r})")
-            out.append((a, row))
-        return out
-    if isinstance(rule, FixedDiffuse):
-        if rule.pieces:
-            raise ModelError("hitting-time analysis needs atomic targets")
-        return [(a, rule.atom_probs) for a in model.actions.names]
-    raise ModelError("hitting-time analysis needs atomic targets")
-
-
 def _apply_at(model: MdpModel, lookup: Callable[[str], Number], atom: str) -> Number:
+    if not isinstance(model.actions, FiniteActions):
+        raise SolverError(_ACTION_DENSITY)
     best = None
-    for _, row in _successor_rows(model, atom):
+    point = model.states.point(atom)
+    for _, row in _atom_rows(model, point, ((a, None) for a in model.actions.names)):
         total = nsum(p * lookup(name) for name, p in row)
         if best is None or total > best:
             best = total

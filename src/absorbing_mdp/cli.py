@@ -25,7 +25,7 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .numbers import Number, format_number, parse_number
+from .numbers import DigitLimitError, Number, format_number, parse_number
 from .measure import CoverageError, IntegrationError, MeasureError
 from .mdp import ModelError, validate_model
 from .occupation import (
@@ -265,17 +265,17 @@ def cmd_occupation(args) -> int:
 
     total = occ.measure.total_mass()
     mean = expected_hitting_time(occ)
-    doc = {
-        "source": source,
-        "strategy": args.strategy,
-        "x0": _state_label_from_point(x0),
-        "method": occ.method,
-        "total_mass": enc_number(total),
-        "tail_bound": enc_number(occ.tail_bound),
-        "expected_hitting_time": enc_number(mean),
-        "measure": measure_to_dict(occ.measure),
-    }
     if args.format == "json":
+        doc = {
+            "source": source,
+            "strategy": args.strategy,
+            "x0": _state_label_from_point(x0),
+            "method": occ.method,
+            "total_mass": enc_number(total),
+            "tail_bound": enc_number(occ.tail_bound),
+            "expected_hitting_time": enc_number(mean),
+            "measure": measure_to_dict(occ.measure),
+        }
         _emit(args, dumps(_stamp(doc, args)))
         return 0
     rows = [["state", "action", "weight", "mass"]]
@@ -549,7 +549,9 @@ def main(argv=None) -> int:
     except (FormatError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ModelError, MeasureError, BatteryError, IntegrationError) as exc:
+    except (
+        SolverError, ModelError, MeasureError, BatteryError, IntegrationError, DigitLimitError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ZeroDivisionError as exc:

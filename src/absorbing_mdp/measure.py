@@ -200,10 +200,6 @@ class HybridMeasure:
     def total_mass(self) -> Number:
         return nsum(c.mass() for c in self.components)
 
-    @property
-    def is_marginal(self) -> bool:
-        return all(c.action is None for c in self.components)
-
 
 def _validate_weight(w: Number, where: str):
     if not isinstance(w, Number):
@@ -312,17 +308,12 @@ def pushforward_affine(
     space: StateSpace,
     part: ActionPart,
     *,
-    segment: str | None = None,
-    atom: str | None = None,
+    segment: str,
     alpha=Fraction(1),
     beta=Fraction(0),
 ) -> list[tuple[StatePart, Number]]:
-    """Image of an action measure under a |-> alpha*a + beta into a segment,
-    or collapse onto a named atom.  Mass is preserved exactly."""
-    if (segment is None) == (atom is None):
-        raise PushforwardError("target is a segment embedding or an atom, pick one")
-    if atom is not None:
-        return [(StateAtom(space.point(atom)), part.mass())]
+    """Image of an action measure under a |-> alpha*a + beta into a segment.
+    Mass is preserved exactly."""
     seg = space.segment_decl(segment)
 
     def land(coord):

@@ -355,11 +355,23 @@ def nsum(items) -> Number:
     return _exact(total)
 
 
+class DigitLimitError(ValueError):
+    """An exact value has more digits than the interpreter converts to a
+    string (its int-to-str limit, 4300 digits by default)."""
+
+
 def format_number(n: Number) -> str:
-    """Exact values render as 'p/q'; approximate values as a decimal literal."""
+    """Exact values render as 'p/q'; approximate values as a decimal literal.
+    An exact value past the int-to-str digit limit raises DigitLimitError."""
     if n.is_exact:
         f = n.as_fraction()
-        return f"{f.numerator}/{f.denominator}"
+        try:
+            return f"{f.numerator}/{f.denominator}"
+        except ValueError as exc:
+            digits = round(max(abs(f.numerator), f.denominator).bit_length() * math.log10(2))
+            raise DigitLimitError(
+                f"an exact value of about {digits} digits is too long to print"
+            ) from exc
     return repr(float(n.value))
 
 

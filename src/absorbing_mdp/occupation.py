@@ -22,6 +22,14 @@ Two solver paths:
   (overridable via `continue_bound`).  The bound is a library construction,
   valid whenever q really bounds the continuation probability beyond the
   frontier.
+
+Both paths, and the hitting-time operator in `absorption`, share one
+atom-routing core.  `_atom_rows` resolves an atom's kernel rule once and
+fetches its rows for the actions it is given (one action-independent row
+for a diffuse rule); it refuses a density target or a segment rule with a
+`SolverError`, which the unroll path avoids by handling those rules itself.
+`_route` sends each weighted term of a row to the cemetery, the frontier's
+running total or the in-play masses.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from fractions import Fraction
 from .numbers import Number, ZERO, ONE, nsum
 from .measure import (
     ActionAtom,
-    ActionDensity,
     ActionMixture,
     ActionPart,
     Domain,
@@ -42,7 +49,6 @@ from .measure import (
     MeasureComponent,
     StateAtom,
     StateDensity,
-    StatePart,
     pushforward_affine,
 )
 from .mdp import (
@@ -119,6 +125,9 @@ def _round_up(x: Fraction) -> float:
     return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
+_ACTION_DENSITY = "atomic dynamics cannot draw from an action density"
+
+
 def _decompose_atoms(part: ActionPart):
     if isinstance(part, ActionAtom):
         return [(part.action, ONE)]
@@ -129,23 +138,57 @@ def _decompose_atoms(part: ActionPart):
                 raise SolverError("atomic dynamics require purely atomic action mixtures")
             out.append((p.action, w))
         return out
-    raise SolverError("atomic dynamics cannot draw from an action density")
+    raise SolverError(_ACTION_DENSITY)
 
 
 def _is_zero(n: Number) -> bool:
     return n.is_exact and n.value == 0
 
 
-class _Flow:
-    """Mass routed out of the playable region during stepping."""
+def _atom_rows(model: MdpModel, point: StatePoint, pairs):
+    """The kernel rows leaving the atom at `point`, its rule resolved once.
+    With table rows: (w, row) for each (action, w) of `pairs`, in order,
+    fetching rows only for those actions.  With a FixedDiffuse rule: the
+    single (None, row) of its atom targets, whatever the actions.  A density
+    target or a segment rule is refused."""
+    atom = point.atom
+    rule = resolve_rule(model, StateAtom(point))
+    if rule == "table":
+        out = []
+        for a, w in pairs:
+            row = model.kernel.row(atom, a)
+            if row is None:
+                raise ModelError(f"no kernel row for ({atom!r}, {a!r})")
+            out.append((w, row))
+        return out
+    if isinstance(rule, FixedDiffuse):
+        if not rule.pieces:
+            return [(None, rule.atom_probs)]
+        cause = "a density target"
+    else:
+        cause = "a segment embedding rule"
+    raise SolverError(f"atomic solver met {cause}")
 
-    def __init__(self):
-        self.absorbed = ZERO
-        self.frontier = ZERO
+
+def _route(model: MdpModel, row, weight: Number | None, into: dict, frontier: Number) -> Number:
+    """Send the terms weight * p of a kernel row on (p itself when `weight`
+    is None): a frontier atom's onto the running total `frontier`, term by
+    term in row order, and every other atom's, the cemetery's included, to
+    `into` by name; a caller that drops absorbed mass pops the cemetery.
+    Returns the new frontier total."""
+    cemetery = model.states.cemetery
+    for name, p in row:
+        mass = p if weight is None else weight * p
+        if name in model.frontier and name != cemetery:
+            frontier = frontier + mass
+        else:
+            into[name] = into.get(name, ZERO) + mass
+    return frontier
 
 
-def _step(model: MdpModel, parts, stage, flow: _Flow):
-    """One forward stage: returns (joint occupation components, next parts)."""
+def _step(model: MdpModel, parts, stage, frontier: Number):
+    """One forward stage: returns (joint occupation components, next parts,
+    frontier mass so far)."""
     space = model.states
     joint = []
     for spart, w in parts:
@@ -157,28 +200,13 @@ def _step(model: MdpModel, parts, stage, flow: _Flow):
             for breaks, heights, dist in stage.split_density(spart):
                 joint.append((StateDensity(spart.segment, tuple(breaks), tuple(heights)), dist, w))
 
-    nxt: dict[StatePart, Number] = {}
-
-    def route_atom(name: str, mass: Number):
-        if name == space.cemetery:
-            flow.absorbed = flow.absorbed + mass
-        elif name in model.frontier:
-            flow.frontier = flow.frontier + mass
-        else:
-            key = StateAtom(space.point(name))
-            nxt[key] = nxt.get(key, ZERO) + mass
-
+    nxt: dict = {}  # atom name or state part -> mass, in first-reached order
     for spart, dist, w in joint:
         rule = resolve_rule(model, spart)
         smass = spart.mass()
         if rule == "table":
-            atom = spart.point.atom
-            for a, wa in _decompose_atoms(dist):
-                row = model.kernel.row(atom, a)
-                if row is None:
-                    raise ModelError(f"no kernel row for ({atom!r}, {a!r})")
-                for nxt_name, p in row:
-                    route_atom(nxt_name, w * wa * p)
+            for wa, row in _atom_rows(model, spart.point, _decompose_atoms(dist)):
+                frontier = _route(model, row, w * wa, nxt, frontier)
         elif isinstance(rule, ActionPushforward):
             for part, m in pushforward_affine(
                 space, dist, segment=rule.segment, alpha=rule.alpha, beta=rule.beta
@@ -186,15 +214,16 @@ def _step(model: MdpModel, parts, stage, flow: _Flow):
                 nxt[part] = nxt.get(part, ZERO) + w * smass * m
         elif isinstance(rule, FixedDiffuse):
             mass = w * smass * dist.mass()
-            for name, p in rule.atom_probs:
-                route_atom(name, mass * p)
+            frontier = _route(model, rule.atom_probs, mass, nxt, frontier)
             for label, breaks, heights in rule.pieces:
                 key = StateDensity(label, tuple(breaks), tuple(heights))
                 nxt[key] = nxt.get(key, ZERO) + mass
         else:
             raise ModelError(f"unhandled rule {rule!r}")
 
-    return joint, list(nxt.items())
+    nxt.pop(space.cemetery, None)
+    parts = [(StateAtom(space.point(k)) if type(k) is str else k, m) for k, m in nxt.items()]
+    return joint, parts, frontier
 
 
 def _merge_joint(domain: Domain, components) -> HybridMeasure:
@@ -217,15 +246,15 @@ def occupation_unroll(
 ) -> OccupationResult:
     """Exact finite-horizon occupation measure; requires sure absorption."""
     parts = [(StateAtom(x0), ONE)]
-    flow = _Flow()
+    frontier = ZERO
     collected = []
     for t in range(horizon):
-        joint, parts = _step(model, parts, strategy.stage(t), flow)
+        joint, parts, frontier = _step(model, parts, strategy.stage(t), frontier)
         collected.extend(joint)
-        if not _is_zero(flow.frontier):
+        if not _is_zero(frontier):
             raise CountableSolverError(
                 "mass reached the model frontier; the unroll path cannot continue",
-                residual=flow.frontier,
+                residual=frontier,
             )
     residual = nsum(w * s.mass() for s, w in parts)
     if residual.is_exact:
@@ -237,42 +266,22 @@ def occupation_unroll(
     return OccupationResult(_merge_joint(domain, collected), ZERO, "unroll")
 
 
-def _atomic_step(model: MdpModel, stage, dist, occ, flow: _Flow):
+def _atomic_step(model: MdpModel, stage, dist, occ, frontier: Number):
+    """One stage of the atomic prefix: adds the stage's occupation to `occ`
+    and returns (next in-play masses by atom, frontier mass so far)."""
     space = model.states
     nxt: dict[str, Number] = {}
-
-    def route(name: str, mass: Number):
-        if name == space.cemetery:
-            flow.absorbed = flow.absorbed + mass
-        elif name in model.frontier:
-            flow.frontier = flow.frontier + mass
-        else:
-            nxt[name] = nxt.get(name, ZERO) + mass
-
     for atom, mass in dist.items():
         if _is_zero(mass):
             continue
         point = space.point(atom)
-        rule = resolve_rule(model, StateAtom(point))
         pairs = _decompose_atoms(stage.dist_at(point))
         for a, wa in pairs:
-            key = (atom, a)
-            occ[key] = occ.get(key, ZERO) + mass * wa
-        if rule == "table":
-            for a, wa in pairs:
-                row = model.kernel.row(atom, a)
-                if row is None:
-                    raise ModelError(f"no kernel row for ({atom!r}, {a!r})")
-                for name, p in row:
-                    route(name, mass * wa * p)
-        elif isinstance(rule, FixedDiffuse):
-            if rule.pieces:
-                raise SolverError("atomic solver met a density target")
-            for name, p in rule.atom_probs:
-                route(name, mass * p)
-        else:
-            raise SolverError("atomic solver met a segment embedding rule")
-    return nxt
+            occ[(atom, a)] = occ.get((atom, a), ZERO) + mass * wa
+        for wa, row in _atom_rows(model, point, pairs):
+            frontier = _route(model, row, mass if wa is None else mass * wa, nxt, frontier)
+    nxt.pop(space.cemetery, None)
+    return nxt, frontier
 
 
 def _tail_transitions(model: MdpModel, stage, support):
@@ -285,48 +294,21 @@ def _tail_transitions(model: MdpModel, stage, support):
     acts: dict[str, list] = {}
     cont: dict[str, Number] = {}
     frontier_p: dict[str, Number] = {}
-    absorbed_p: dict[str, Number] = {}
     todo = sorted(support)
     seen = set(todo)
     while todo:
         atom = todo.pop()
         point = space.point(atom)
-        rule = resolve_rule(model, StateAtom(point))
         pairs = _decompose_atoms(stage.dist_at(point))
         acts[atom] = pairs
         out: dict[str, Number] = {}
         fr = ZERO
-        ab = ZERO
-
-        def take(name: str, mass: Number):
-            nonlocal fr, ab
-            if name == space.cemetery:
-                ab = ab + mass
-            elif name in model.frontier:
-                fr = fr + mass
-            else:
-                out[name] = out.get(name, ZERO) + mass
-
-        if rule == "table":
-            for a, wa in pairs:
-                row = model.kernel.row(atom, a)
-                if row is None:
-                    raise ModelError(f"no kernel row for ({atom!r}, {a!r})")
-                for name, p in row:
-                    take(name, wa * p)
-        elif isinstance(rule, FixedDiffuse):
-            if rule.pieces:
-                raise SolverError("atomic solver met a density target")
-            for name, p in rule.atom_probs:
-                take(name, p)
-        else:
-            raise SolverError("atomic solver met a segment embedding rule")
-
+        for wa, row in _atom_rows(model, point, pairs):
+            fr = _route(model, row, wa, out, fr)
+        cont[atom] = ONE - out.pop(space.cemetery, ZERO)
         stay[atom] = out.pop(atom, ZERO)
         trans[atom] = out
         frontier_p[atom] = fr
-        absorbed_p[atom] = ab
-        cont[atom] = ONE - ab
         for name in out:
             if name not in seen:
                 seen.add(name)
@@ -464,10 +446,10 @@ def occupation_countable(
         raise CountableSolverError(f"{prefix} prefix stages exceed the stage budget")
 
     occ: dict = {}
-    flow = _Flow()
+    frontier = ZERO
     dist: dict[str, Number] = {x0.atom: ONE}
     for t in range(prefix):
-        dist = _atomic_step(model, strategy.stage(t), dist, occ, flow)
+        dist, frontier = _atomic_step(model, strategy.stage(t), dist, occ, frontier)
 
     tail_stage = strategy.stage(prefix)
     support = [a for a, m in dist.items() if not _is_zero(m)]
@@ -506,9 +488,9 @@ def occupation_countable(
             # a state with no frontier successor adds nothing: a float v
             # times an exact zero would add a 0.0 carrying rounding slop
             if not _is_zero(frontier_p[x]):
-                flow.frontier = flow.frontier + v * frontier_p[x]
+                frontier = frontier + v * frontier_p[x]
 
-    tail = flow.frontier * _cap(cont, continue_bound, needed=not _is_zero(flow.frontier))
+    tail = frontier * _cap(cont, continue_bound, needed=not _is_zero(frontier))
     return _countable_result(model, occ, tail)
 
 
@@ -550,17 +532,16 @@ def survival_probs(
     once there is any, the result is a float whose err holds that mass
     (value and err), the in-play mass's own err and its rounding."""
     parts = [(StateAtom(x0), ONE)]
-    flow = _Flow()
+    pool = ZERO
     out: list[Number] = []
     for t in range(n_max + 1):
         alive = nsum(w * s.mass() for s, w in parts)
-        pool = flow.frontier
         if _is_zero(pool):
             out.append(alive)
         else:
             out.append(_widened(alive, pool))
         if t < n_max:
-            _, parts = _step(model, parts, strategy.stage(t), flow)
+            _, parts, pool = _step(model, parts, strategy.stage(t), pool)
     return out
 
 

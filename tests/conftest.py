@@ -9,13 +9,22 @@ import pytest
 
 import absorbing_mdp
 from absorbing_mdp import (
+    ActionAtom,
+    ActionDensity,
+    ActionPushforward,
     AtomDecl,
     FiniteActions,
+    FixedDiffuse,
+    FromRegion,
     MdpModel,
+    ModelError,
     Number,
     ONE,
     SegmentDecl,
+    SolverError,
+    StageKernel,
     StateSpace,
+    StrategyRule,
     TransitionKernel,
 )
 
@@ -113,6 +122,47 @@ def segment_space() -> StateSpace:
         atoms=(AtomDecl("start"), AtomDecl("Delta")),
         segments=(SegmentDecl("seg", Fraction(0), Fraction(1)),),
     )
+
+
+# what the atomic solvers refuse at an atom, and how
+REFUSALS = {
+    "density target": (SolverError, "atomic solver met a density target"),
+    "segment rule": (SolverError, "atomic solver met a segment embedding rule"),
+    "missing row": (ModelError, "no kernel row for ('s1', 'y')"),
+    "action density": (SolverError, "atomic dynamics cannot draw from an action density"),
+}
+
+
+def refusal_case(cause: str, actions) -> tuple:
+    """(model, stage kernel) whose atom s1 shows one cause of REFUSALS; the
+    cemetery jumps to itself by a diffuse rule, so the model also validates
+    with an interval action space."""
+    s1 = FromRegion(atoms=("s1",))
+    rules = [FixedDiffuse(FromRegion(atoms=("Delta",)), atom_probs=(("Delta", ONE),))]
+    rows = [(("s1", a), (("Delta", ONE),)) for a in ("x", "y")]
+    play = ActionAtom("x")
+    if cause == "density target":
+        rows = []
+        rules.append(FixedDiffuse(s1, pieces=(("seg", (Fraction(0), Fraction(1)), (ONE,)),)))
+    elif cause == "segment rule":
+        rows = []
+        rules.append(ActionPushforward(s1, "seg"))
+    elif cause == "missing row":
+        rows = rows[:1]
+        play = ActionAtom("y")
+    else:
+        play = ActionDensity((Fraction(0), Fraction(1)), (ONE,))
+    model = MdpModel(
+        name=f"refuse-{cause}",
+        states=StateSpace(
+            atoms=(AtomDecl("s1"), AtomDecl("Delta")),
+            segments=(SegmentDecl("seg", Fraction(0), Fraction(1)),),
+        ),
+        actions=actions,
+        kernel=TransitionKernel(rows=tuple(rows), rules=tuple(rules)),
+    )
+    stage = StageKernel((StrategyRule(dist=play, atoms=("s1",)), StrategyRule(dist=ActionAtom("x"))))
+    return model, stage
 
 
 @pytest.fixture

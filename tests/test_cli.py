@@ -2,15 +2,30 @@
 through `python -m absorbing_mdp` in a child process)."""
 
 import json
+import re
 import subprocess
 
 import pytest
 
-from absorbing_mdp import Number, deterministic_stationary
+from fractions import Fraction
+
+from absorbing_mdp import (
+    AtomDecl,
+    FiniteActions,
+    IntervalActions,
+    MdpModel,
+    Number,
+    StateSpace,
+    TransitionKernel,
+    deterministic_stationary,
+    format_number,
+    markov_sequence,
+)
 from absorbing_mdp.cli import main
+from absorbing_mdp.numbers import DigitLimitError
 from absorbing_mdp.serialize import model_to_dict, save_json
 
-from conftest import chain_model, module_command
+from conftest import REFUSALS, chain_model, module_command, refusal_case
 
 
 def run(capsys, *argv):
@@ -407,3 +422,54 @@ def test_coverage_error_is_analysis_failure(capsys, monkeypatch):
     )
     assert rc == 1
     assert err == "error: 2 outside piecewise range\n"
+
+
+@pytest.mark.parametrize("cause", sorted(REFUSALS))
+def test_atomic_refusal_is_analysis_failure(tmp_path, capsys, cause):
+    model, stage = refusal_case(cause, IntervalActions())
+    path = tmp_path / "refuse.json"
+    save_json(str(path), model_to_dict(model, {"play": markov_sequence([stage])}))
+    rc, _, err = run(
+        capsys, "occupation", "--model", str(path), "--strategy", "play", "--x0", "s1",
+        "--solver", "countable",
+    )
+    assert rc == 1
+    assert err == f"error: {REFUSALS[cause][1]}\n"
+
+
+def long_digits_model() -> MdpModel:
+    """s0 -> s1 -> ... -> s51, each step advancing with probability
+    1 - 10^-100: the visits to s51 have a denominator of 5,101 digits."""
+    eps = Fraction(1, 10 ** 100)
+    names = [f"s{i}" for i in range(52)]
+    rows = [((a, "go"), ((b, Number(1 - eps)), ("Delta", Number(eps))))
+            for a, b in zip(names, names[1:])]
+    rows += [((names[-1], "go"), (("Delta", Number(1)),)), (("Delta", "go"), (("Delta", Number(1)),))]
+    return MdpModel(
+        name="longdigits",
+        states=StateSpace(atoms=tuple(AtomDecl(n) for n in names + ["Delta"])),
+        actions=FiniteActions(("go",)),
+        kernel=TransitionKernel(rows=tuple(rows)),
+    )
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_unprintable_exact_value_is_analysis_failure(tmp_path, capsys, fmt):
+    path = tmp_path / "longdigits.json"
+    save_json(str(path), model_to_dict(long_digits_model(), {"go": deterministic_stationary(default="go")}))
+    argv = ["occupation", "--model", str(path), "--strategy", "go", "--x0", "s0", "--format", fmt]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert re.fullmatch(r"error: an exact value of about \d+ digits is too long to print\n", err)
+    if fmt != "json":
+        # the float rendering needs no string of the exact value
+        rc, out, err = run(capsys, *argv, "--float")
+        assert rc == 0, err
+        assert "52.0" in out
+
+
+def test_format_number_keeps_the_digit_limit():
+    big = Number(Fraction(1, 10 ** 5000))
+    with pytest.raises(DigitLimitError):
+        format_number(big)

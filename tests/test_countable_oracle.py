@@ -25,8 +25,12 @@ from absorbing_mdp import (
     StateSpace,
     StrategyRule,
     TransitionKernel,
+    expected_hitting_time,
     markov_sequence,
+    nsum,
     occupation_countable,
+    occupation_unroll,
+    survival_probs,
 )
 from absorbing_mdp.measure import ActionMixture
 from absorbing_mdp.occupation import _class_order, _classes
@@ -37,18 +41,21 @@ CAP = F(2)  # 1 / (1 - continue_bound) for the continue_bound passed below
 
 
 @st.composite
-def chains(draw):
+def chains(draw, acyclic=False):
+    """A random chain; an acyclic one has no frontier and moves only to
+    later states, so it is surely absorbed within len(states) stages."""
     n = draw(st.integers(2, 7))
     states = [f"s{i}" for i in range(n)]
-    frontier = [f"f{i}" for i in range(draw(st.integers(0, 2)))]
+    frontier = [] if acyclic else [f"f{i}" for i in range(draw(st.integers(0, 2)))]
     rows = {}
-    for s in states:
+    for i, s in enumerate(states):
+        pool = states[i + 1:] if acyclic else states + frontier
         for a in ACTIONS:
-            targets = draw(st.lists(st.sampled_from(states + frontier), min_size=1,
-                                    max_size=4, unique=True))
+            targets = draw(st.lists(st.sampled_from(pool), min_size=0 if acyclic else 1,
+                                    max_size=4, unique=True)) if pool else []
             # a zero absorption weight lets closed classes appear
             weights = {t: draw(st.integers(1, 9)) for t in targets}
-            weights["Delta"] = draw(st.integers(0, 3))
+            weights["Delta"] = draw(st.integers(0 if targets else 1, 3))
             total = sum(weights.values())
             rows[(s, a)] = {t: F(w, total) for t, w in weights.items() if w}
 
@@ -176,6 +183,33 @@ def test_countable_matches_the_dense_fundamental_matrix(chain):
     occupation, inflow = want
     assert got == occupation
     assert occ.tail_bound == Number(CAP * inflow)
+
+
+def per_action(occ):
+    """Occupation weight by (atom, action), with mixtures split into their
+    atoms."""
+    out = {}
+    for c in occ.measure.components:
+        parts = c.action.parts if isinstance(c.action, ActionMixture) else ((Number(1), c.action),)
+        for wa, part in parts:
+            key = (c.state.point.atom, part.action)
+            out[key] = out.get(key, 0) + (c.weight * wa).as_fraction()
+    return {k: w for k, w in out.items() if w}
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains(acyclic=True))
+def test_unroll_countable_and_survival_agree_on_acyclic_chains(chain):
+    states = chain[0]
+    model, strategy = build(*chain)
+    x0 = model.states.point("s0")
+    horizon = len(states) + 1
+    unrolled = occupation_unroll(model, strategy, x0, horizon)
+    countable = occupation_countable(model, strategy, x0)
+    assert per_action(unrolled) == per_action(countable)
+    total = expected_hitting_time(countable)
+    assert total.is_exact and total == expected_hitting_time(unrolled)
+    assert total == nsum(survival_probs(model, strategy, x0, horizon))
 
 
 def old_topo_order(trans, nodes):

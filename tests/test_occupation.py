@@ -9,6 +9,10 @@ from absorbing_mdp import (
     AtomDecl,
     CountableSolverError,
     FiniteActions,
+    IntervalActions,
+    ValueFunction,
+    bellman_apply,
+    verify_supersolution,
     MdpModel,
     StateSpace,
     TransitionKernel,
@@ -35,7 +39,7 @@ from absorbing_mdp import (
     tail_sum,
 )
 
-from conftest import chain_model, ladder_model, loop_model
+from conftest import REFUSALS, chain_model, ladder_model, loop_model, refusal_case
 
 F = Fraction
 
@@ -340,3 +344,27 @@ def test_survival_err_holds_the_frontier_pool_err():
         assert not got.is_exact
         for truth in (F(0), F(p) * F(q)):
             assert abs(F(got.value) - truth) <= F(got.err)
+
+
+@pytest.mark.parametrize("cause", sorted(REFUSALS))
+def test_atomic_entry_points_refuse_alike(cause):
+    # the hitting-time operator plays every action, so an action density
+    # reaches it as an interval action space
+    model, stage = refusal_case(cause, FiniteActions(("x", "y")))
+    if cause == "action density":
+        amodel, _ = refusal_case(cause, IntervalActions())
+    else:
+        amodel = model
+    s1 = model.states.point("s1")
+    w = ValueFunction({"s1": ONE})
+    calls = {
+        "prefix": lambda: occupation_countable(model, markov_sequence([stage, stage]), s1),
+        "tail": lambda: occupation_countable(model, markov_sequence([stage]), s1),
+        "bellman_apply": lambda: bellman_apply(amodel, w, ["s1"]),
+        "verify_supersolution": lambda: verify_supersolution(amodel, w, ["s1"]),
+    }
+    kind, message = REFUSALS[cause]
+    for name, call in calls.items():
+        with pytest.raises(kind) as info:
+            call()
+        assert type(info.value) is kind and str(info.value) == message, name
