@@ -171,6 +171,8 @@ def validate_model(model: MdpModel) -> list[str]:
     for name in model.frontier:
         if name not in atom_names:
             diags.append(f"frontier: unknown atom {name!r}")
+        elif name == space.cemetery:
+            diags.append(f"frontier: the cemetery {name!r} is absorbing and cannot be a frontier atom")
 
     try:
         rows = kernel.row_map

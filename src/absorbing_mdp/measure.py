@@ -13,19 +13,38 @@ falls back to adaptive quadrature with a tracked error bound.
 
 A structured function meets an exact measure (every weight, height, mixture
 weight and break a rational; action parts atoms or mixtures of atoms; some
-state part a density) in one grouped pass: atoms are evaluated as usual, and
-the density cells are grouped by (segment, action), or by segment for
-state-only functions.  Each group is integrated against each polynomial
-piece at once, with its moments summed as integers over common
+state part a density) in one grouped pass: atoms are summed as in the atom
+run below, and the density cells are grouped by (segment, action), or by
+segment for state-only functions.  Each group is integrated against each
+polynomial piece at once, with its moments summed as integers over common
 denominators.  The result, and any error raised, is what the per-component
 loop gives; that loop serves every other measure, and any function value
-that is a float, so float results keep their bits.
+that is not an int or a Fraction, so float results keep their bits.
+
+The loop sums its leading run of exact atom components (a state atom, an
+exact weight, no action part or an action atom, and an int or Fraction
+value of the function) as integers over one common denominator, and builds
+one Fraction.  The function's checks run per atom, in order, and raise the
+errors `TestFunction.evaluate` raises.  From the first other component on,
+the loop adds Numbers as before, starting from the run's exact sum; a value
+the run has already evaluated there is not evaluated again.
+
+`integrate` keeps each result under (function, tolerance) for as long as
+the measure lives: a second call with the same measure, function object and
+tolerance returns the same Number without evaluating anything.  The memo is
+a module-level dict keyed by the measure's id; an entry holds a weak
+reference to its function, so it keeps neither the function nor anything
+the function refers to alive, and a finalizer on the measure drops the
+entry when the measure is collected.  Nothing is stored on the measure
+itself.  Errors are not kept: a call that raised raises again on every
+call.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -609,9 +628,34 @@ class IntegrationError(Exception):
         self.err = err
 
 
+# id(mu) -> {(id(g), tol): (weak reference to g, integral)}.  A hit needs the
+# reference to be g itself, so the id of a collected g, reused, never
+# matches; a strong one would keep alive a mu that g's evaluator refers to.
+# A finalizer on mu drops mu's entries when mu is collected, before its id
+# can be reused.
+_MEMO: dict[int, dict] = {}
+
+
 def integrate(mu: HybridMeasure, g: TestFunction, tol: float = DEFAULT_INTEGRATE_TOL) -> Number:
     """Integral of g against mu.  The result's error bound is zero on fully
-    exact paths, and at most tol when quadrature was involved."""
+    exact paths, and at most tol when quadrature was involved.  Each
+    (mu, g, tol) is integrated once while mu lives; an error is raised
+    again on every call."""
+    key = (id(g), tol)
+    memo = _MEMO.get(id(mu))
+    if memo is not None:
+        hit = memo.get(key)
+        if hit is not None and hit[0]() is g:
+            return hit[1]
+    got = _integral(mu, g, tol)
+    if memo is None:
+        memo = _MEMO[id(mu)] = {}
+        weakref.finalize(mu, _MEMO.pop, id(mu), None).atexit = False
+    memo[key] = (weakref.ref(g), got)
+    return got
+
+
+def _integral(mu: HybridMeasure, g: TestFunction, tol: float) -> Number:
     comps = mu.components
     if not comps:
         return ZERO
@@ -619,11 +663,76 @@ def integrate(mu: HybridMeasure, g: TestFunction, tol: float = DEFAULT_INTEGRATE
         got = _grouped_integral(mu, g)
         if got is not None:
             return got
+    prefix, i, v = _atom_run(comps, g)
+    total = Number(prefix)
+    if i == len(comps):
+        return total
     share = tol / len(comps)
-    total = ZERO
-    for c in comps:
+    if v is not None:
+        total = total + _component_integral(comps[i], g, share, v)
+        i += 1
+    for c in comps[i:]:
         total = total + _component_integral(c, g, share)
     return total
+
+
+def _atom_run(comps, g: TestFunction) -> tuple[Fraction, int, Number | None]:
+    """The exact sum over the leading run of components that are a state
+    atom with an exact weight, an action part that is an atom or (for a
+    state-only g) none, and an int or Fraction value of g.
+
+    Returns the sum, the index of the first component past the run, and g's
+    checked value there when the evaluator has already run on it, else
+    None.  g's checks run per component, in the loop's order.
+    """
+    joint = g.arity != "state"
+    ev = g.evaluator
+    terms = []
+    for i, c in enumerate(comps):
+        s, a, w = c.state, c.action, c.weight.value
+        if type(s) is not StateAtom or type(w) is not Fraction:
+            break
+        if type(a) is ActionAtom:
+            raw = ev(s.point, a.action) if joint else ev(s.point)
+        elif a is None and not joint:
+            raw = ev(s.point)
+        else:
+            break
+        t = _checked_term(g, raw)
+        if type(t) is not tuple:
+            return _exact_sum(terms), i, t
+        terms.append((w._numerator * t[0], w._denominator * t[1]))
+    else:
+        i = len(comps)
+    return _exact_sum(terms), i, None
+
+
+def _checked_term(g: TestFunction, raw) -> tuple[int, int] | Number:
+    """A value g's evaluator returned, checked as `g._checked` checks it:
+    an int or a Fraction as (numerator, denominator), without boxing it;
+    anything else as `g._checked(raw)`.  The errors are `g._checked`'s."""
+    t = type(raw)
+    if t is int:
+        n, d = raw, 1
+    elif t is Fraction:
+        n, d = raw._numerator, raw._denominator
+    else:
+        return g._checked(raw)
+    try:
+        inside = abs(n / d) <= g._limit
+    except OverflowError:
+        inside = False
+    if not inside:
+        g._checked(raw)
+    return n, d
+
+
+def _exact_sum(terms) -> Fraction:
+    """Σ n/d over the (n, d) pairs, over one common denominator."""
+    if not terms:
+        return Fraction(0)
+    q = math.lcm(*{d for _, d in terms})
+    return Fraction(sum(n * (q // d) for n, d in terms), q)
 
 
 def _is_exact(x) -> bool:
@@ -663,14 +772,14 @@ def _groupable(comps) -> bool:
 def _grouped_integral(mu: HybridMeasure, g: TestFunction) -> Number | None:
     """Exact integral of a structured g against a `_groupable` measure.
 
-    Atom components go through `g.evaluate` as in `_component_integral`.
+    Atom components are summed as in `_atom_run`.
     Density cells are collected by (segment, action) for joint functions and
     by segment for state-only ones, and each group is integrated against each
     term's polynomial in one pass (`_cells_integral`), times the term's
     action factor.  The checks the per-component route makes (marginal,
     coverage, range) run here in its order and raise its errors.  Returns
-    None when g takes a value that is not exact, so that the per-component
-    route computes today's float result.
+    None when g takes a value that is not an int or a Fraction, so that the
+    per-component route computes today's result, bit for bit if a float.
     """
     joint = g.arity != "state"
     terms = g.structured if joint else ((g.structured[0], None),)
@@ -678,7 +787,7 @@ def _grouped_integral(mu: HybridMeasure, g: TestFunction) -> Number | None:
     polys = [{} for _ in terms]  # per term: segment -> (polynomial, can a density escape it)
     factors = [{} for _ in terms]  # per term: action -> action factor
     groups: dict = {}  # (segment, action) or segment -> [(lo, hi, weight, height)]
-    total = Fraction(0)
+    atoms = []  # (numerator, denominator) of weight * value per atom
     for c in mu.components:
         s, a, w = c.state, c.action, c.weight.value
         if joint:
@@ -691,10 +800,11 @@ def _grouped_integral(mu: HybridMeasure, g: TestFunction) -> Number | None:
         for pw, apart in parts:
             weight = w if pw is ONE else w * pw.value
             if atom:
-                v = g.evaluate(s.point, apart.action) if joint else g.evaluate(s.point)
-                if not v.is_exact:
+                raw = g.evaluator(s.point, apart.action) if joint else g.evaluator(s.point)
+                term = _checked_term(g, raw)
+                if type(term) is not tuple:
                     return None
-                total += weight * v.value
+                atoms.append((weight.numerator * term[0], weight.denominator * term[1]))
                 continue
             segment = s.segment
             for t, (sf, af) in enumerate(terms):
@@ -717,6 +827,7 @@ def _grouped_integral(mu: HybridMeasure, g: TestFunction) -> Number | None:
             cells = groups.setdefault((segment, apart.action) if joint else segment, [])
             for lo, hi, h in zip(s.breaks, s.breaks[1:], s.heights):
                 cells.append((lo, hi, weight, h.value))
+    total = _exact_sum(atoms)
     for t in range(len(terms)):
         for key, cells in groups.items():
             if not joint:
@@ -765,11 +876,14 @@ def _cells_integral(poly: PiecewisePoly, cells) -> Fraction:
     return total
 
 
-def _component_integral(c: MeasureComponent, g: TestFunction, tol: float) -> Number:
+def _component_integral(c: MeasureComponent, g: TestFunction, tol: float, v: Number | None = None) -> Number:
+    """c's share of the integral of g; `v`, when given, is g's checked
+    value at c's state atom and action atom."""
     if g.arity == "state":
         amass = action_mass(c.action)
         if isinstance(c.state, StateAtom):
-            v = g.evaluate(c.state.point)
+            if v is None:
+                v = g.evaluate(c.state.point)
         else:
             v = _state_density_integral(c.state, g, tol)
         r = c.weight * v
@@ -781,7 +895,7 @@ def _component_integral(c: MeasureComponent, g: TestFunction, tol: float) -> Num
     parts = c.action.parts if isinstance(c.action, ActionMixture) else ((ONE, c.action),)
     total = ZERO
     for w, apart in parts:
-        total = total + w * _pure_integral(c.state, apart, g, tol / len(parts))
+        total = total + w * _pure_integral(c.state, apart, g, tol / len(parts), v)
     return c.weight * total
 
 
@@ -798,11 +912,13 @@ def _state_density_integral(d: StateDensity, g: TestFunction, tol: float) -> Num
     return total
 
 
-def _pure_integral(s: StatePart, a: ActionAtom | ActionDensity, g: TestFunction, tol: float) -> Number:
+def _pure_integral(
+    s: StatePart, a: ActionAtom | ActionDensity, g: TestFunction, tol: float, v: Number | None = None
+) -> Number:
     atomic_s = isinstance(s, StateAtom)
     atomic_a = isinstance(a, ActionAtom)
     if atomic_s and atomic_a:
-        return g.evaluate(s.point, a.action)
+        return g.evaluate(s.point, a.action) if v is None else v
     if g.structured is not None:
         total = ZERO
         for sf, af in g.structured:

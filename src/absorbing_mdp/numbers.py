@@ -20,6 +20,9 @@ equal, hash-equal, same repr and pickle.  It relies on `Fraction` storing
 exactly the slots `_numerator` and `_denominator`, as it does in CPython
 3.10-3.13.
 
+`certainly_ge` and `certainly_le` compare an exact value with an int or
+Fraction bound by the same cross products.
+
 Float, mixed and subclass operands take the generic path: the float
 formulas with their first-order bounds, or `Fraction`'s own operator for a
 subclass.  A value is a `Fraction` or a float
@@ -260,12 +263,20 @@ class Number:
 
     def certainly_ge(self, c) -> bool:
         """True only if the whole uncertainty interval sits at or above c."""
+        v = self.value
+        if type(v) is Fraction and (type(c) is int or type(c) is Fraction):
+            # an exact value against an exact bound: the cross products
+            return v._numerator * c.denominator >= c.numerator * v._denominator
         c = Number.lift(c).value
-        return self.value - self.err >= c
+        return v - self.err >= c
 
     def certainly_le(self, c) -> bool:
+        """True only if the whole uncertainty interval sits at or below c."""
+        v = self.value
+        if type(v) is Fraction and (type(c) is int or type(c) is Fraction):
+            return v._numerator * c.denominator <= c.numerator * v._denominator
         c = Number.lift(c).value
-        return self.value + self.err <= c
+        return v + self.err <= c
 
     def within(self, target, tol) -> bool:
         """|self - target| <= tol, including the tracked error bound."""

@@ -31,6 +31,7 @@ from .measure import (
     ActionMixture,
     CONTINUOUS,
     CARATHEODORY,
+    DEFAULT_INTEGRATE_TOL,
     HybridMeasure,
     MeasureError,
     StateAtom,
@@ -175,7 +176,7 @@ def check_convergence(
     sequence = list(sequence)
     if not sequence:
         raise MeasureError("need at least one measure in the sequence")
-    itol = DEFAULT_INTEGRATE if integrate_tol is None else integrate_tol
+    itol = DEFAULT_INTEGRATE_TOL if integrate_tol is None else integrate_tol
     if battery.mode == "s":
         sequence = [marginal_state(mu) for mu in sequence]
         limit = marginal_state(limit)
@@ -184,6 +185,7 @@ def check_convergence(
     start = k - math.ceil(k / 3)
     # floats are exact binary rationals, so this conversion is lossless
     tol_exact = Fraction(tol)
+    floor = 10 * tol_exact
     traces = []
     for f in battery.functions:
         lim_val = integrate(limit, f, itol)
@@ -191,7 +193,7 @@ def check_convergence(
         gaps = [abs(v - lim_val) for v in vals]
         tail = gaps[start:]
         converged = all(g.certainly_le(tol_exact) for g in tail)
-        persistent = all(g.certainly_ge(10 * tol_exact) for g in tail)
+        persistent = all(g.certainly_ge(floor) for g in tail)
         traces.append(
             FunctionTrace(f.name, tuple(vals), lim_val, tuple(gaps), converged, persistent)
         )
@@ -223,9 +225,6 @@ def check_convergence(
         tuple(traces),
         note=note,
     )
-
-
-DEFAULT_INTEGRATE = 1e-12
 
 
 def multi_initial_check(

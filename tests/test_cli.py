@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process through cli.main (and once
 through `python -m absorbing_mdp` in a child process)."""
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -422,6 +423,18 @@ def test_coverage_error_is_analysis_failure(capsys, monkeypatch):
     )
     assert rc == 1
     assert err == "error: 2 outside piecewise range\n"
+
+
+def test_model_diagnostics_end_the_analysis(tmp_path, capsys):
+    model = dataclasses.replace(chain_model(), frontier=frozenset({"Delta"}))
+    path = tmp_path / "frontier.json"
+    save_json(str(path), model_to_dict(model, {"go": deterministic_stationary(default="fwd")}))
+    rc, out, err = run(capsys, "occupation", "--model", str(path), "--strategy", "go", "--x0", "A")
+    assert (rc, out) == (1, "")
+    assert err == (
+        "model diagnostics:\n"
+        "  frontier: the cemetery 'Delta' is absorbing and cannot be a frontier atom\n"
+    )
 
 
 @pytest.mark.parametrize("cause", sorted(REFUSALS))

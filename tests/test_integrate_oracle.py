@@ -13,12 +13,26 @@ is kept here as `reference_integrate`.  It must give:
   function on a marginal;
 * bit-identical floats wherever a float enters, in the measure or in a value
   the function takes, and unchanged exact values on atom-only measures.
+
+Every other measure and function takes the loop, which sums a leading run of
+exact atom components as integers over one common denominator.  On
+functions without a structured form (their values int, Fraction, exact or
+float Numbers, floats, values past the bound, or a bad type, at random
+atoms; quadrature on densities), against atom-only measures and measures
+mixing atoms, densities and mixtures, exact and float weights, the loop must
+give the reference's outcome and call the evaluator as often.
+
+`integrate` keeps each (measure, function, tolerance) result while the
+measure lives; the last tests check what it keeps and what it drops.
 """
 
+import gc
 import math
 import struct
+import weakref
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from absorbing_mdp import (
@@ -29,7 +43,9 @@ from absorbing_mdp import (
     CONTINUOUS,
     Domain,
     FiniteActions,
+    BoundViolation,
     HybridMeasure,
+    MEASURABLE,
     MeasureComponent,
     MeasureError,
     Number,
@@ -40,13 +56,25 @@ from absorbing_mdp import (
     StateDensity,
     StateFactor,
     StateSpace,
+    TestFunction,
     ZERO,
     integrate,
     marginal_state,
     structured_joint_function,
     structured_state_function,
 )
-from absorbing_mdp.measure import CoverageError, _groupable, _grouped_integral, _wrap_value, action_mass
+from absorbing_mdp import measure
+from absorbing_mdp.measure import (
+    DEFAULT_INTEGRATE_TOL,
+    CoverageError,
+    IntegrationError,
+    _groupable,
+    _grouped_integral,
+    _pure_integral,
+    _state_density_integral,
+    _wrap_value,
+    action_mass,
+)
 
 F = Fraction
 
@@ -64,34 +92,45 @@ BOUND = F(10**6)
 # -- the per-component loop, as the reference -------------------------------
 
 
-def reference_integrate(mu, g):
-    """`integrate` before the grouped pass, for structured g."""
+def reference_integrate(mu, g, tol=DEFAULT_INTEGRATE_TOL):
+    """`integrate` before the grouped pass and the atom run, with no memo.
+    Densities against a function without a structured form go through the
+    library's quadrature, which neither touches."""
+    comps = mu.components
+    if not comps:
+        return ZERO
+    share = tol / len(comps)
     total = ZERO
-    for c in mu.components:
-        total = total + reference_component(c, g)
+    for c in comps:
+        total = total + reference_component(c, g, share)
     return total
 
 
-def reference_component(c, g):
+def reference_component(c, g, tol):
     if g.arity == "state":
         amass = action_mass(c.action)
         if isinstance(c.state, StateAtom):
             v = g.evaluate(c.state.point)
-        else:
+        elif g.structured:
             v = g.structured[0].integral_against(c.state)
-        return c.weight * v * amass
+        else:
+            v = _state_density_integral(c.state, g, tol)
+        r = c.weight * v
+        return r if amass is ONE and r.is_exact else r * amass
     if c.action is None:
         raise MeasureError(f"{g.name!r} needs actions but the measure is a marginal")
     parts = c.action.parts if isinstance(c.action, ActionMixture) else ((ONE, c.action),)
     total = ZERO
     for w, apart in parts:
-        total = total + w * reference_pure(c.state, apart, g)
+        total = total + w * reference_pure(c.state, apart, g, tol / len(parts))
     return c.weight * total
 
 
-def reference_pure(s, a, g):
+def reference_pure(s, a, g, tol):
     if isinstance(s, StateAtom):
         return g.evaluate(s.point, a.action)
+    if not g.structured:
+        return _pure_integral(s, a, g, tol)
     total = ZERO
     for sf, af in g.structured:
         total = total + sf.integral_against(s) * _wrap_value(af.value_at(a.action))
@@ -355,3 +394,181 @@ def test_cells_straddling_a_break_are_split_there():
     # half-weight cells of the uniform density, times 2, over (1/3, 1]
     assert got == Number.exact(2, 3)
     assert got == reference_integrate(_cells_measure(ActionAtom("2")), g)
+
+
+# -- functions without a structured form ------------------------------------
+
+LIMIT = F(50)
+
+
+@st.composite
+def values(draw):
+    """A value an evaluator returns at an atom: mostly exact, sometimes a
+    float, rarely past the bound or of a bad type."""
+    kind = draw(st.sampled_from(
+        ["int"] * 3 + ["fraction"] * 3 + ["exact number"] * 2 + ["float"] * 2 + ["float number", "past", "type"]
+    ))
+    if kind == "int":
+        return draw(st.integers(min_value=-50, max_value=50))
+    if kind == "fraction":
+        return draw(coefficients)
+    if kind == "exact number":
+        return Number.lift(draw(coefficients))
+    if kind == "float":
+        return float(draw(coefficients)) / 3.0
+    if kind == "float number":
+        return Number.approx(float(draw(coefficients)) / 7.0, draw(st.sampled_from([0.0, 1e-9, 0.5])))
+    if kind == "past":
+        return draw(st.sampled_from([51, F(101, 2), -51, 50.5, Number.lift(F(-151, 3)), math.inf, 10**400]))
+    return "fifty"
+
+
+@st.composite
+def tabled_functions(draw):
+    """A state-only or joint function without a structured form, tabled at
+    the atoms and linear on the segments, with a counter of its calls."""
+    table = {(a, act): draw(values()) for a in ATOMS for act in (*ACTIONS, None)}
+    slope = float(draw(coefficients)) / 4.0
+    calls = []
+
+    def at(p, act=None):
+        calls.append(p)
+        if p.atom is None:
+            return slope * float(p.coord)
+        return table[p.atom, act]
+
+    joint = draw(st.booleans())
+    g = TestFunction("h", MEASURABLE, at, bound=LIMIT, arity="state_action" if joint else "state")
+    return g, calls
+
+
+@st.composite
+def mixed_measures(draw):
+    """Exact measures as `measures` draws them, atom-only or not, with
+    marginal parts or not, and some weights made floats."""
+    mu = draw(measures(marginal_ok=draw(st.booleans()), atoms_only=draw(st.booleans())))
+    comps = [_float_weight(c) if draw(st.integers(0, 3)) == 0 else c for c in mu.components]
+    return HybridMeasure(DOMAIN, tuple(comps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_measures(), tabled_functions())
+def test_unstructured_functions_keep_the_loop(mu, g_calls):
+    g, calls = g_calls
+    got = outcome(lambda: integrate(mu, g))
+    evaluated = len(calls)
+    assert got == outcome(lambda: reference_integrate(mu, g))
+    # the run hands the value it evaluated on to the loop
+    assert evaluated == len(calls) - evaluated
+
+
+def test_exact_atoms_sum_past_a_float_atom():
+    table = {"start": F(1, 3), "Delta": 0.1}
+    g = TestFunction("h", MEASURABLE, lambda p: table[p.atom], bound=LIMIT, arity="state")
+    comps = tuple(
+        MeasureComponent(StateAtom(SPACE.point(name)), None, Number.exact(1, 2 ** k))
+        for k, name in enumerate(["start", "start", "Delta", "start"])
+    )
+    mu = HybridMeasure(DOMAIN, comps)
+    got = integrate(mu, g)
+    assert not got.is_exact
+    assert outcome(lambda: got) == outcome(lambda: reference_integrate(mu, g))
+    exact = HybridMeasure(DOMAIN, comps[:2])
+    assert integrate(exact, g) == Number.exact(1, 2)
+
+
+@pytest.mark.parametrize("value, kind", [(F(101, 2), BoundViolation), ("fifty", TypeError), (10**400, OverflowError)])
+def test_a_bad_value_after_exact_atoms_raises_the_loops_error(value, kind):
+    table = {"start": F(1, 3), "Delta": value}
+    g = TestFunction("h", MEASURABLE, lambda p, a: table[p.atom], bound=LIMIT)
+    comps = tuple(
+        MeasureComponent(StateAtom(SPACE.point(name)), ActionAtom("0"), ONE) for name in ["start", "Delta", "start"]
+    )
+    mu = HybridMeasure(DOMAIN, comps)
+    got = outcome(lambda: integrate(mu, g))
+    assert got[:2] == ("raise", kind)
+    assert got == outcome(lambda: reference_integrate(mu, g))
+
+
+# -- the memo ---------------------------------------------------------------
+
+
+def _atom_measure():
+    return HybridMeasure(DOMAIN, (MeasureComponent(StateAtom(SPACE.point("start")), None, Number.exact(1, 2)),))
+
+
+def test_an_integral_is_kept_while_its_measure_lives():
+    calls = []
+
+    def ev(p):
+        calls.append(p)
+        return F(1, 3)
+
+    g = TestFunction("g", CONTINUOUS, ev, arity="state")
+    mu = _atom_measure()
+    first = integrate(mu, g)
+    assert first == Number.exact(1, 6)
+    assert integrate(mu, g) is first and len(calls) == 1
+    # another tolerance, or an equal function that is not g, is integrated anew
+    assert integrate(mu, g, 1e-6) == first and len(calls) == 2
+    twin = TestFunction("g", CONTINUOUS, ev, arity="state")
+    assert twin == g and twin is not g
+    assert integrate(mu, twin) == first and len(calls) == 3
+    assert integrate(mu, twin) == first and len(calls) == 3
+
+    key, alive = id(mu), weakref.ref(mu)
+    assert set(measure._MEMO[key]) == {(id(g), DEFAULT_INTEGRATE_TOL), (id(g), 1e-6), (id(twin), DEFAULT_INTEGRATE_TOL)}
+    del mu
+    gc.collect()
+    assert alive() is None
+    assert key not in measure._MEMO
+
+
+def test_the_memo_keeps_no_function_alive():
+    # an evaluator that refers to the measure: a kept function would keep
+    # the measure alive through the module-level memo
+    mu = _atom_measure()
+    g = TestFunction("g", CONTINUOUS, lambda p, mu=mu: F(len(mu.components)), arity="state")
+    assert integrate(mu, g) == Number.exact(1, 2)
+    key, alive_mu, alive_g = id(mu), weakref.ref(mu), weakref.ref(g)
+    del mu, g
+    gc.collect()
+    assert alive_g() is None and alive_mu() is None
+    assert key not in measure._MEMO
+
+
+def test_a_reused_function_id_is_integrated_anew():
+    mu = _atom_measure()
+    first = TestFunction("g", CONTINUOUS, lambda p: F(1), arity="state")
+    assert integrate(mu, first) == Number.exact(1, 2)
+    stale = (id(first), DEFAULT_INTEGRATE_TOL)
+    del first
+    second = TestFunction("g", CONTINUOUS, lambda p: F(1, 3), arity="state")
+    # the entry of the collected function, as if second had reused its id
+    memo = measure._MEMO[id(mu)]
+    memo[id(second), DEFAULT_INTEGRATE_TOL] = memo.pop(stale)
+    assert integrate(mu, second) == Number.exact(1, 6)
+
+
+@pytest.mark.parametrize("kind", [BoundViolation, CoverageError, MeasureError, IntegrationError])
+def test_errors_are_raised_on_every_call(kind):
+    calls = []
+
+    def ev(p):
+        calls.append(p)
+        raise kind("refused")
+
+    g = TestFunction("g", CONTINUOUS, ev, arity="state")
+    mu = _atom_measure()
+    for n in (1, 2):
+        with pytest.raises(kind, match="refused"):
+            integrate(mu, g)
+        assert len(calls) == n
+
+
+def test_a_value_past_the_bound_is_refused_on_every_call():
+    g = TestFunction("g", CONTINUOUS, lambda p: F(3, 2), arity="state")
+    mu = _atom_measure()
+    for _ in range(2):
+        with pytest.raises(BoundViolation, match="beyond bound 1"):
+            integrate(mu, g)

@@ -1,5 +1,6 @@
 """Models, kernels, validation diagnostics and strategy plumbing."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,16 @@ HALF = Number.exact(1, 2)
 def test_clean_models_have_no_diagnostics(chain, ladder8):
     assert validate_model(chain) == []
     assert validate_model(ladder8) == []
+
+
+def test_frontier_may_not_name_the_cemetery():
+    # every solver treats the cemetery as absorbing and would ignore the
+    # declaration: occupation_countable reported tail 0 and total mass 2
+    m = dataclasses.replace(chain_model(), frontier=frozenset({"Delta"}))
+    assert validate_model(m) == [
+        "frontier: the cemetery 'Delta' is absorbing and cannot be a frontier atom"
+    ]
+    assert validate_model(dataclasses.replace(chain_model(), frontier=frozenset({"B"}))) == []
 
 
 def bad_model(rows):

@@ -386,6 +386,43 @@ def test_nsum_with_floats_adds_left_to_right(parts):
         assert bits(got.value, got.err) == bits(float(want.value), float(want.err))
 
 
+def old_certainly_ge(x, c):
+    c = Number.lift(c).value
+    return x.value - x.err >= c
+
+
+def old_certainly_le(x, c):
+    c = Number.lift(c).value
+    return x.value + x.err <= c
+
+
+def answer(call):
+    try:
+        return ("ok", call())
+    except Exception as exc:  # compared by type and message
+        return ("raise", type(exc), str(exc))
+
+
+comparands = st.one_of(
+    kernel_fractions,
+    st.integers(-(2**70), 2**70),
+    st.floats(min_value=-200, max_value=200, allow_nan=False),
+    operands,
+)
+
+
+@given(st.one_of(kernel_fractions.map(Number), approx_numbers()), comparands, st.sampled_from(["drawn", "tie", "int tie"]))
+def test_certified_comparisons_match_the_generic_formulas(x, c, pick):
+    # exact values against ints and Fractions compare their cross products;
+    # every other pairing, floats and Numbers included, keeps the formulas
+    if x.is_exact and pick == "tie":
+        c = x.value
+    elif x.is_exact and pick == "int tie":
+        c = math.floor(x.value)
+    for new, old in ((Number.certainly_ge, old_certainly_ge), (Number.certainly_le, old_certainly_le)):
+        assert answer(lambda: new(x, c)) == answer(lambda: old(x, c))
+
+
 class Spy(Fraction):
     """A Fraction subclass that records the operators Python calls on it."""
 
