@@ -19,7 +19,10 @@ segment for state-only functions.  Each group is integrated against each
 polynomial piece at once, with its moments summed as integers over common
 denominators.  The result, and any error raised, is what the per-component
 loop gives; that loop serves every other measure, and any function value
-that is not an int or a Fraction, so float results keep their bits.
+that is not an int or a Fraction, so float results keep their bits.  When
+the grouped pass hands a measure back to the loop, the loop replays the
+function values the pass has already evaluated instead of evaluating them
+again.
 
 The loop sums its leading run of exact atom components (a state atom, an
 exact weight, no action part or an action atom, and an int or Fraction
@@ -30,25 +33,24 @@ the loop adds Numbers as before, starting from the run's exact sum; a value
 the run has already evaluated there is not evaluated again.
 
 `integrate` keeps each result under (function, tolerance) for as long as
-the measure lives: a second call with the same measure, function object and
-tolerance returns the same Number without evaluating anything.  The memo is
-a module-level dict keyed by the measure's id; an entry holds a weak
-reference to its function, so it keeps neither the function nor anything
-the function refers to alive, and a finalizer on the measure drops the
-entry when the measure is collected.  Nothing is stored on the measure
-itself.  Errors are not kept: a call that raised raises again on every
-call.
+the measure lives (`memo.remembered`, owned by the measure): a second call
+with the same measure, function object and tolerance returns the same
+Number without evaluating anything.  The memo keeps neither the function
+nor anything the function refers to alive, and nothing is stored on the
+measure itself.  Errors are not kept: a call that raised raises again on
+every call.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .memo import remembered
 from .numbers import Number, ZERO, ONE, nsum
 from .quadrature import adaptive_quadrature, QuadratureError
 from .spaces import (
@@ -628,11 +630,8 @@ class IntegrationError(Exception):
         self.err = err
 
 
-# id(mu) -> {(id(g), tol): (weak reference to g, integral)}.  A hit needs the
-# reference to be g itself, so the id of a collected g, reused, never
-# matches; a strong one would keep alive a mu that g's evaluator refers to.
-# A finalizer on mu drops mu's entries when mu is collected, before its id
-# can be reused.
+# id(mu) -> {(id(g), tol): ((weak reference to g,), integral)}; see `memo`.
+# A strong reference would keep alive a mu that g's evaluator refers to.
 _MEMO: dict[int, dict] = {}
 
 
@@ -641,18 +640,7 @@ def integrate(mu: HybridMeasure, g: TestFunction, tol: float = DEFAULT_INTEGRATE
     exact paths, and at most tol when quadrature was involved.  Each
     (mu, g, tol) is integrated once while mu lives; an error is raised
     again on every call."""
-    key = (id(g), tol)
-    memo = _MEMO.get(id(mu))
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None and hit[0]() is g:
-            return hit[1]
-    got = _integral(mu, g, tol)
-    if memo is None:
-        memo = _MEMO[id(mu)] = {}
-        weakref.finalize(mu, _MEMO.pop, id(mu), None).atexit = False
-    memo[key] = (weakref.ref(g), got)
-    return got
+    return remembered(_MEMO, mu, (g,), (tol,), lambda: _integral(mu, g, tol))
 
 
 def _integral(mu: HybridMeasure, g: TestFunction, tol: float) -> Number:
@@ -660,9 +648,12 @@ def _integral(mu: HybridMeasure, g: TestFunction, tol: float) -> Number:
     if not comps:
         return ZERO
     if g.structured and _groupable(comps):
-        got = _grouped_integral(mu, g)
+        calls = []
+        got = _grouped_integral(mu, g, calls)
         if got is not None:
             return got
+        if calls:
+            g = _replaying(g, calls)
     prefix, i, v = _atom_run(comps, g)
     total = Number(prefix)
     if i == len(comps):
@@ -728,11 +719,27 @@ def _checked_term(g: TestFunction, raw) -> tuple[int, int] | Number:
 
 
 def _exact_sum(terms) -> Fraction:
-    """Σ n/d over the (n, d) pairs, over one common denominator."""
-    if not terms:
-        return Fraction(0)
-    q = math.lcm(*{d for _, d in terms})
-    return Fraction(sum(n * (q // d) for n, d in terms), q)
+    """Σ n/d over the (n, d) pairs, d > 0.
+
+    Numerators over equal denominators are added first.  The denominators
+    are then taken in increasing order, the running sum kept as an integer
+    over the lcm of those seen so far; a denominator that this lcm divides
+    (each one, when they are nested powers of two) costs a division with a
+    small quotient, and only any other one a gcd.
+    """
+    by_d: dict[int, int] = {}
+    for n, d in terms:
+        by_d[d] = by_d.get(d, 0) + n
+    acc, q = 0, 1
+    for d in sorted(by_d):
+        if d % q:
+            g = math.gcd(q, d)
+            acc = acc * (d // g) + by_d[d] * (q // g)
+            q = q // g * d
+        else:
+            acc = acc * (d // q) + by_d[d]
+            q = d
+    return Fraction(acc, q)
 
 
 def _is_exact(x) -> bool:
@@ -769,7 +776,7 @@ def _groupable(comps) -> bool:
     return density
 
 
-def _grouped_integral(mu: HybridMeasure, g: TestFunction) -> Number | None:
+def _grouped_integral(mu: HybridMeasure, g: TestFunction, calls: list) -> Number | None:
     """Exact integral of a structured g against a `_groupable` measure.
 
     Atom components are summed as in `_atom_run`.
@@ -779,7 +786,9 @@ def _grouped_integral(mu: HybridMeasure, g: TestFunction) -> Number | None:
     action factor.  The checks the per-component route makes (marginal,
     coverage, range) run here in its order and raise its errors.  Returns
     None when g takes a value that is not an int or a Fraction, so that the
-    per-component route computes today's result, bit for bit if a float.
+    per-component route computes today's result, bit for bit if a float;
+    each evaluator call is appended to `calls` as (arguments, value), for
+    that route to replay.
     """
     joint = g.arity != "state"
     terms = g.structured if joint else ((g.structured[0], None),)
@@ -800,7 +809,9 @@ def _grouped_integral(mu: HybridMeasure, g: TestFunction) -> Number | None:
         for pw, apart in parts:
             weight = w if pw is ONE else w * pw.value
             if atom:
-                raw = g.evaluator(s.point, apart.action) if joint else g.evaluator(s.point)
+                args = (s.point, apart.action) if joint else (s.point,)
+                raw = g.evaluator(*args)
+                calls.append((args, raw))
                 term = _checked_term(g, raw)
                 if type(term) is not tuple:
                     return None
@@ -835,6 +846,21 @@ def _grouped_integral(mu: HybridMeasure, g: TestFunction) -> Number | None:
             elif v := factors[t][key[1]]:
                 total += v * _cells_integral(polys[t][key[0]][0], cells)
     return Number(total)
+
+
+def _replaying(g: TestFunction, calls: list) -> TestFunction:
+    """g with an evaluator that answers the (arguments, value) pairs of
+    `calls` in order, without calling g's own, which answers every call
+    past them or with other arguments."""
+    ev = g.evaluator
+    pending = calls[::-1]
+
+    def replay(*args):
+        if pending and pending[-1][0] == args:
+            return pending.pop()[1]
+        return ev(*args)
+
+    return dataclasses.replace(g, evaluator=replay)
 
 
 def _cells_integral(poly: PiecewisePoly, cells) -> Fraction:

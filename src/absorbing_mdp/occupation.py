@@ -30,6 +30,14 @@ for a diffuse rule); it refuses a density target or a segment rule with a
 `SolverError`, which the unroll path avoids by handling those rules itself.
 `_route` sends each weighted term of a row to the cemetery, the frontier's
 running total or the in-play masses.
+
+`occupation_countable` solves each instance once while its strategy object
+lives: a repeated call with the same strategy object, the same model object
+and an equal x0, truncation and continue_bound returns the same
+`OccupationResult` (`memo.remembered`, owned by the strategy), so
+`tail_sum` after an analysis's own solve only looks it up.  A fresh
+strategy, even an equal one, is solved anew, and a refusal is raised again
+on every call.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .memo import remembered
 from .numbers import Number, ZERO, ONE, nsum
 from .measure import (
     ActionAtom,
@@ -428,6 +437,11 @@ def _class_visits(members, trans, stay, enter) -> dict[str, Number]:
     return {x: rows[col[x]].get(n, ZERO) for x in members}
 
 
+# id(strategy) -> {(id(model), x0, trunc, type, continue_bound):
+# ((weak reference to model,), result)}; see `memo`.
+_MEMO: dict[int, dict] = {}
+
+
 def occupation_countable(
     model: MdpModel,
     strategy: Strategy,
@@ -436,7 +450,19 @@ def occupation_countable(
     continue_bound: Fraction | None = None,
 ) -> OccupationResult:
     """Occupation measure for purely atomic dynamics, exact up to a
-    certified tail bound."""
+    certified tail bound.  While the strategy object lives, a call with it,
+    the same model object and an equal x0, trunc and continue_bound returns
+    the same result; an error is raised again on every call."""
+    # the bound's type is in the key: 0.5 == 1/2, but a float bound is
+    # refused
+    key = (x0, trunc, type(continue_bound), continue_bound)
+    return remembered(
+        _MEMO, strategy, (model,), key,
+        lambda: _countable(model, strategy, x0, trunc, continue_bound),
+    )
+
+
+def _countable(model, strategy, x0, trunc, continue_bound) -> OccupationResult:
     if x0.atom is None:
         raise SolverError("the countable path needs an atomic initial state")
     if not strategy.stationary_tail:

@@ -26,6 +26,7 @@ give the reference's outcome and call the evaluator as often.
 measure lives; the last tests check what it keeps and what it drops.
 """
 
+import dataclasses
 import gc
 import math
 import struct
@@ -257,7 +258,7 @@ def test_grouped_pass_equals_the_loop(mu, g):
     assert _groupable(mu.components)
     want = reference_integrate(mu, g)
     assert want.is_exact
-    got = _grouped_integral(mu, g)
+    got = _grouped_integral(mu, g, [])
     assert got is not None and got.is_exact
     assert got.value == want.value and got.err == 0
     assert integrate(mu, g) == want
@@ -339,6 +340,84 @@ def test_float_values_of_the_function_keep_the_loop_bit_for_bit(mu, where, data)
     af = ActionFactor(const=0.3) if where == "action" else data.draw(action_factors())
     g = structured_joint_function("g", CONTINUOUS, ((sf, af),), BOUND)
     assert outcome(lambda: integrate(mu, g)) == outcome(lambda: reference_integrate(mu, g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(measures(marginal_ok=True), functions(faulty=True), st.sampled_from(ATOMS))
+def test_a_grouped_pass_that_steps_aside_evaluates_no_atom_twice(mu, g, floated):
+    # a float at one atom hands the measure back to the loop, which replays
+    # the values the pass has evaluated
+    calls = []
+    ev = g.evaluator
+
+    def counted(p, *a):
+        calls.append(p)
+        v = ev(p, *a)
+        return float(v) if p.atom == floated else v
+
+    g = dataclasses.replace(g, evaluator=counted)
+    want = outcome(lambda: reference_integrate(mu, g))
+    evaluated = len(calls)
+    assert outcome(lambda: integrate(mu, g)) == want
+    assert len(calls) - evaluated == evaluated
+
+
+@pytest.mark.parametrize("joint", [False, True])
+def test_four_atoms_and_a_density_take_four_evaluations_per_action(joint):
+    # 1/2 at three atoms and 0.25 at the fourth: the grouped pass steps aside
+    # at the fourth, and the loop evaluates none of them again
+    names = ("p1", "p2", "p3", "p4")
+    space = StateSpace(atoms=(*(AtomDecl(x) for x in names), AtomDecl("Delta")),
+                       segments=(SegmentDecl("s", F(0), F(1)),))
+    factor = StateFactor(segment_polys=(("s", _unit_poly()),),
+                         atom_values=(("p1", F(1, 2)), ("p2", F(1, 2)), ("p3", F(1, 2)), ("p4", 0.25)))
+    calls = []
+
+    def ev(p, a=None):
+        calls.append((p, a))
+        return factor.value_at(p)
+
+    if joint:
+        g = TestFunction("g", CONTINUOUS, ev, arity="state_action",
+                         structured=((factor, ActionFactor(const=F(1))),))
+        action = ActionMixture(((Number.exact(1, 3), ActionAtom("0")), (Number.exact(2, 3), ActionAtom("1"))))
+    else:
+        g = TestFunction("g", CONTINUOUS, ev, arity="state", structured=(factor,))
+        action = None
+    comps = [MeasureComponent(StateAtom(space.point(x)), action, Number.exact(1, 4)) for x in names]
+    comps.append(MeasureComponent(StateDensity("s", (F(0), F(1)), (ONE,)), action, ONE))
+    mu = HybridMeasure(Domain(space, FiniteActions(ACTIONS)), tuple(comps))
+    got = integrate(mu, g)
+    assert len(calls) == (8 if joint else 4)
+    assert outcome(lambda: got) == outcome(lambda: reference_integrate(mu, g))
+    assert not got.is_exact
+
+
+# nested powers of two up to 600 digits (the ladder's marginals), small
+# coprime and composite denominators, and large ones of no shape
+exact_sum_denominators = st.one_of(
+    st.integers(min_value=0, max_value=1993).map(lambda k: 2**k),
+    st.sampled_from([1, 3, 5, 7, 9, 12, 15, 2**64 - 59, 3**40]),
+    st.integers(min_value=1, max_value=10**40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(min_value=-(10**610), max_value=10**610), exact_sum_denominators), max_size=40),
+    st.integers(min_value=0, max_value=3),
+)
+def test_exact_sum_is_the_fraction_sum(terms, repeats):
+    terms = terms + terms[: repeats * len(terms) // 3]  # repeated denominators
+    got = measure._exact_sum(terms)
+    want = sum((F(n, d) for n, d in terms), F(0))
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_exact_sum_of_nothing_is_zero():
+    got = measure._exact_sum([])
+    assert type(got) is Fraction and got == 0 and got.denominator == 1
 
 
 # -- the named refusals -----------------------------------------------------
