@@ -9,7 +9,8 @@ measures on the state space alone (marginals).
 Integration is exact whenever the component is purely atomic, or the test
 function carries a structured form (a sum of tensor-product terms with
 piecewise-polynomial factors) covering the parts involved.  Everything else
-falls back to adaptive quadrature with a tracked error bound.
+falls back to adaptive quadrature with an estimated error: G7-K15 for
+functions declared `CONTINUOUS`, Simpson for the rest.
 
 A structured function meets an exact measure (every weight, height, mixture
 weight and break a rational; action parts atoms or mixtures of atoms; some
@@ -52,7 +53,7 @@ from typing import Callable
 
 from .memo import remembered
 from .numbers import Number, ZERO, ONE, nsum
-from .quadrature import adaptive_quadrature, QuadratureError
+from .quadrature import adaptive_quadrature, kronrod_quadrature, QuadratureError
 from .spaces import (
     ActionSpace,
     FiniteActions,
@@ -929,13 +930,8 @@ def _state_density_integral(d: StateDensity, g: TestFunction, tol: float) -> Num
     if g.structured is not None:
         factor = g.structured[0]
         return factor.integral_against(d)
-    total = ZERO
-    budget = tol / len(d.heights)
-    for a, b, h in zip(d.breaks, d.breaks[1:], d.heights):
-        f = lambda x: g.sample(_segment_point(d.segment, x))
-        v, e = _quad(f, float(a), float(b), budget / max(float(h.value), 1e-30))
-        total = total + h * Number.approx(v, e)
-    return total
+    f = lambda x: g.sample(_segment_point(d.segment, x))
+    return _density_quad(d.breaks, d.heights, f, tol, g.declared_class)
 
 
 def _pure_integral(
@@ -954,10 +950,10 @@ def _pure_integral(
         return total
     if atomic_s:
         f = lambda t: g.sample(s.point, t)
-        return _density_quad(a.breaks, a.heights, f, tol)
+        return _density_quad(a.breaks, a.heights, f, tol, g.declared_class)
     if atomic_a:
         f = lambda x: g.sample(_segment_point(s.segment, x), a.action)
-        return _density_quad(s.breaks, s.heights, f, tol)
+        return _density_quad(s.breaks, s.heights, f, tol, g.declared_class)
     # nested: outer over the state density, inner over the action density
     smass = max(float(s.mass().value), 1e-30)
     inner_tol = tol / (2.0 * smass)
@@ -965,26 +961,31 @@ def _pure_integral(
     def outer(x):
         p = _segment_point(s.segment, x)
         f = lambda t: g.sample(p, t)
-        inner = _density_quad(a.breaks, a.heights, f, inner_tol)
+        inner = _density_quad(a.breaks, a.heights, f, inner_tol, g.declared_class)
         return float(inner.value)
 
-    got = _density_quad(s.breaks, s.heights, outer, tol / 2.0)
+    got = _density_quad(s.breaks, s.heights, outer, tol / 2.0, g.declared_class)
     return Number.approx(float(got.value), float(got.err) + smass * inner_tol)
 
 
-def _density_quad(breaks, heights, f, tol: float) -> Number:
+def _density_quad(breaks, heights, f, tol: float, declared_class: str) -> Number:
+    """f against a piecewise-constant density, tol split evenly over its
+    cells and scaled by each cell's height."""
     total = ZERO
     budget = tol / len(heights)
     for a, b, h in zip(breaks, breaks[1:], heights):
         hv = max(float(h.value), 1e-30)
-        v, e = _quad(f, float(a), float(b), budget / hv)
+        v, e = _quad(f, float(a), float(b), budget / hv, declared_class)
         total = total + h * Number.approx(v, e)
     return total
 
 
-def _quad(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _quad(f, lo: float, hi: float, tol: float, declared_class: str) -> tuple[float, float]:
+    """G7-K15 for a continuous integrand; Simpson, whose bisection closes in
+    on a kink or a jump with fewer samples, for any other."""
+    rule = kronrod_quadrature if declared_class == CONTINUOUS else adaptive_quadrature
     try:
-        return adaptive_quadrature(f, lo, hi, tol)
+        return rule(f, lo, hi, tol)
     except QuadratureError as exc:
         raise IntegrationError(str(exc), value=exc.value, err=exc.err) from exc
 

@@ -311,6 +311,23 @@ def test_quadrature_fallback_matches_exact_value():
     assert float(got.err) <= 1e-9
 
 
+def test_continuous_quadrature_fallback_matches_exact_value():
+    # the twin of the test above, declared continuous: G7-K15 takes it, and
+    # integrates the quadratic exactly up to rounding
+    dom = unit_domain()
+    mu = HybridMeasure(dom, (MeasureComponent(density((0, 1), (3,)), None, HALF),))
+
+    def ev(p):
+        x = p.coord if p.segment == "seg" else {"start": 2, "Delta": 0}[p.atom]
+        return float(x + x * x)
+
+    f = TestFunction("bare", CONTINUOUS, ev, bound=F(4), arity="state")
+    got = integrate(mu, f, tol=1e-9)
+    want = float(poly_density_integral((0, 1, 1), 0, 1, 3)) / 2
+    assert not got.is_exact
+    assert abs(float(got.value) - want) <= float(got.err) <= 1e-9
+
+
 def test_bound_violation_is_raised():
     f = quadratic_state_function(bound=F(1))  # true values reach 2
     space = segment_space()
