@@ -12,26 +12,33 @@ piecewise-polynomial factors) covering the parts involved.  Everything else
 falls back to adaptive quadrature with an estimated error: G7-K15 for
 functions declared `CONTINUOUS`, Simpson for the rest.
 
-A structured function meets an exact measure (every weight, height, mixture
-weight and break a rational; action parts atoms or mixtures of atoms; some
-state part a density) in one grouped pass: atoms are summed as in the atom
-run below, and the density cells are grouped by (segment, action), or by
-segment for state-only functions.  Each group is integrated against each
-polynomial piece at once, with its moments summed as integers over common
-denominators.  The result, and any error raised, is what the per-component
-loop gives; that loop serves every other measure, and any function value
-that is not an int or a Fraction, so float results keep their bits.  When
-the grouped pass hands a measure back to the loop, the loop replays the
-function values the pass has already evaluated instead of evaluating them
-again.
+`integrate` makes one pass over the measure's components, in order.  Each
+component's share is one of three kinds:
 
-The loop sums its leading run of exact atom components (a state atom, an
-exact weight, no action part or an action atom, and an int or Fraction
-value of the function) as integers over one common denominator, and builds
-one Fraction.  The function's checks run per atom, in order, and raise the
-errors `TestFunction.evaluate` raises.  From the first other component on,
-the loop adds Numbers as before, starting from the run's exact sum; a value
-the run has already evaluated there is not evaluated again.
+* a state atom under no action part (for a state-only function) or an
+  action atom: the function is evaluated there once, and an int or
+  Fraction value times an exact weight is kept as an integer (numerator,
+  denominator) pair;
+* an exact state density (weight, heights, breaks and mixture weights
+  rational, action atoms or mixtures of atoms) against a structured
+  function whose polynomials and action values there are exact: its cells
+  are grouped by (segment, action), or by segment for a state-only
+  function, and each group is integrated against each polynomial piece at
+  once, its moments summed as integers over common denominators.  The
+  coverage and range checks run, and raise, where the per-component route
+  would;
+* anything else: the per-component route, `_component_integral`.
+
+While every share is exact, the shares are summed once at the end.  At the
+first inexact share the exact sum so far becomes one Number, and every
+later share is added to it as a Number, in order, so that float results
+keep the bits, and errors the order, of the plain loop over components.
+No function value is evaluated twice.
+
+Each component gets tol / (number of components).  A quadrature whose
+result is multiplied by a weight above 1 (the component's, a mixture
+part's, or the action mass under a state-only function) gets that share
+divided by the weight, so that the err stays within tol.
 
 `integrate` keeps each result under (function, tolerance) for as long as
 the measure lives (`memo.remembered`, owned by the measure): a second call
@@ -45,7 +52,6 @@ every call.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -570,8 +576,9 @@ class TestFunction:
     def _checked(self, raw) -> Number:
         """`raw` as a Number, refused when |value| exceeds the bound by more
         than its err (and 1e-12)."""
-        # _wrap_value's dispatch, inline: evaluate runs once per atom per
-        # battery function, and a call to it would add a frame to each
+        # _wrap_value's dispatch, inline: this runs on every value that is
+        # not an int or a Fraction that integrate takes at an atom, and on
+        # every evaluate call, and a call to it would add a frame to each
         if isinstance(raw, Number):
             v = raw
         elif isinstance(raw, (int, Fraction)):
@@ -645,58 +652,45 @@ def integrate(mu: HybridMeasure, g: TestFunction, tol: float = DEFAULT_INTEGRATE
 
 
 def _integral(mu: HybridMeasure, g: TestFunction, tol: float) -> Number:
+    """One pass over mu's components, in order; see the module docstring."""
     comps = mu.components
     if not comps:
         return ZERO
-    if g.structured and _groupable(comps):
-        calls = []
-        got = _grouped_integral(mu, g, calls)
-        if got is not None:
-            return got
-        if calls:
-            g = _replaying(g, calls)
-    prefix, i, v = _atom_run(comps, g)
-    total = Number(prefix)
-    if i == len(comps):
-        return total
     share = tol / len(comps)
-    if v is not None:
-        total = total + _component_integral(comps[i], g, share, v)
-        i += 1
-    for c in comps[i:]:
-        total = total + _component_integral(c, g, share)
-    return total
-
-
-def _atom_run(comps, g: TestFunction) -> tuple[Fraction, int, Number | None]:
-    """The exact sum over the leading run of components that are a state
-    atom with an exact weight, an action part that is an atom or (for a
-    state-only g) none, and an int or Fraction value of g.
-
-    Returns the sum, the index of the first component past the run, and g's
-    checked value there when the evaluator has already run on it, else
-    None.  g's checks run per component, in the loop's order.
-    """
     joint = g.arity != "state"
     ev = g.evaluator
-    terms = []
+    cells = _Cells(mu.domain.states, g) if g.structured else None
+    terms = []  # (numerator, denominator) of each exact share
+    rest = None  # the components past the first inexact share
     for i, c in enumerate(comps):
-        s, a, w = c.state, c.action, c.weight.value
-        if type(s) is not StateAtom or type(w) is not Fraction:
-            break
-        if type(a) is ActionAtom:
-            raw = ev(s.point, a.action) if joint else ev(s.point)
-        elif a is None and not joint:
-            raw = ev(s.point)
+        s, a = c.state, c.action
+        if type(s) is StateAtom and (type(a) is ActionAtom or a is None and not joint):
+            w = c.weight.value
+            t = _checked_term(g, ev(s.point, a.action) if joint else ev(s.point))
+            if type(t) is tuple and type(w) is Fraction:
+                terms.append((w._numerator * t[0], w._denominator * t[1]))
+                continue
+            v = Number(Fraction(*t)) if type(t) is tuple else t
+            # c's share as _component_integral computes it from v
+            r = c.weight * (ZERO + ONE * v) if joint else c.weight * v * ONE
+        elif type(s) is StateDensity and cells is not None and cells.add(c):
+            continue
         else:
-            break
-        t = _checked_term(g, raw)
-        if type(t) is not tuple:
-            return _exact_sum(terms), i, t
-        terms.append((w._numerator * t[0], w._denominator * t[1]))
-    else:
-        i = len(comps)
-    return _exact_sum(terms), i, None
+            r = _component_integral(c, g, share)
+        if r.is_exact:
+            terms.append((r.value.numerator, r.value.denominator))
+            continue
+        rest = comps[i + 1 :]
+        break
+    total = _exact_sum(terms)
+    if cells is not None:
+        total += cells.total()
+    if rest is None:
+        return Number(total)
+    total = Number(total) + r
+    for c in rest:
+        total = total + _component_integral(c, g, share)
+    return total
 
 
 def _checked_term(g: TestFunction, raw) -> tuple[int, int] | Number:
@@ -751,117 +745,82 @@ def _exact_poly(poly: PiecewisePoly) -> bool:
     return all(map(_is_exact, poly.breaks)) and all(_is_exact(c) for row in poly.coeffs for c in row)
 
 
-def _groupable(comps) -> bool:
-    """Every weight, height, mixture weight and break is exact, every action
-    part is an atom or a mixture of atoms, and some state part is a density."""
-    density = False
-    for c in comps:
-        if not c.weight.is_exact:
-            return False
-        s = c.state
-        if isinstance(s, StateDensity):
-            density = True
-            for h in s.heights:
-                if not h.is_exact:
-                    return False
-            for b in s.breaks:
-                if not _is_exact(b):
-                    return False
-        a = c.action
-        if isinstance(a, ActionMixture):
-            for w, p in a.parts:
-                if not (w.is_exact and isinstance(p, ActionAtom)):
-                    return False
-        elif isinstance(a, ActionDensity):
-            return False
-    return density
+class _Cells:
+    """The exact state-density components of one pass for a structured g.
 
-
-def _grouped_integral(mu: HybridMeasure, g: TestFunction, calls: list) -> Number | None:
-    """Exact integral of a structured g against a `_groupable` measure.
-
-    Atom components are summed as in `_atom_run`.
-    Density cells are collected by (segment, action) for joint functions and
-    by segment for state-only ones, and each group is integrated against each
+    Their cells are collected by (segment, action) for a joint g and by
+    segment for a state-only one, and each group is integrated against each
     term's polynomial in one pass (`_cells_integral`), times the term's
-    action factor.  The checks the per-component route makes (marginal,
-    coverage, range) run here in its order and raise its errors.  Returns
-    None when g takes a value that is not an int or a Fraction, so that the
-    per-component route computes today's result, bit for bit if a float;
-    each evaluator call is appended to `calls` as (arguments, value), for
-    that route to replay.
+    action factor.
     """
-    joint = g.arity != "state"
-    terms = g.structured if joint else ((g.structured[0], None),)
-    states = mu.domain.states
-    polys = [{} for _ in terms]  # per term: segment -> (polynomial, can a density escape it)
-    factors = [{} for _ in terms]  # per term: action -> action factor
-    groups: dict = {}  # (segment, action) or segment -> [(lo, hi, weight, height)]
-    atoms = []  # (numerator, denominator) of weight * value per atom
-    for c in mu.components:
+
+    def __init__(self, states: StateSpace, g: TestFunction):
+        self.states = states
+        self.joint = g.arity != "state"
+        self.terms = g.structured if self.joint else ((g.structured[0], None),)
+        self.polys = [{} for _ in self.terms]  # per term: segment -> (polynomial, can a density escape it)
+        self.factors = [{} for _ in self.terms]  # per term: action -> action factor
+        self.groups: dict = {}  # (segment, action) or segment -> [(lo, hi, weight, height)]
+
+    def add(self, c: MeasureComponent) -> bool:
+        """Group the cells of c, a state density, when c's weight, heights,
+        breaks and action part, and g's polynomials and action factors on
+        them, are exact; else return False and group nothing.  The coverage
+        and range checks of `_component_integral` run first, in its order,
+        and raise its errors."""
         s, a, w = c.state, c.action, c.weight.value
-        if joint:
-            if a is None:
-                raise MeasureError(f"{g.name!r} needs actions but the measure is a marginal")
-            parts = a.parts if isinstance(a, ActionMixture) else ((ONE, a),)
+        if type(w) is not Fraction:
+            return False
+        for h in s.heights:
+            if type(h.value) is not Fraction:
+                return False
+        for b in s.breaks:
+            if not _is_exact(b):
+                return False
+        if self.joint:
+            parts = a.parts if type(a) is ActionMixture else ((ONE, a),)
+            for pw, p in parts:
+                if type(p) is not ActionAtom or type(pw.value) is not Fraction:
+                    return False
         else:
             parts = ((action_mass(a), None),)
-        atom = isinstance(s, StateAtom)
-        for pw, apart in parts:
-            weight = w if pw is ONE else w * pw.value
-            if atom:
-                args = (s.point, apart.action) if joint else (s.point,)
-                raw = g.evaluator(*args)
-                calls.append((args, raw))
-                term = _checked_term(g, raw)
-                if type(term) is not tuple:
-                    return None
-                atoms.append((weight.numerator * term[0], weight.denominator * term[1]))
-                continue
-            segment = s.segment
-            for t, (sf, af) in enumerate(terms):
-                entry = polys[t].get(segment)
+            if type(parts[0][0].value) is not Fraction:
+                return False
+        segment = s.segment
+        for _, p in parts:
+            for t, (sf, af) in enumerate(self.terms):
+                entry = self.polys[t].get(segment)
                 if entry is None:
                     poly = sf.poly_for(segment)
                     if not _exact_poly(poly):
-                        return None
+                        return False
                     # the measure keeps every density inside its segment
-                    decl = states.segment_decl(segment)
-                    entry = polys[t][segment] = (poly, poly.breaks[0] > decl.lo or poly.breaks[-1] < decl.hi)
+                    decl = self.states.segment_decl(segment)
+                    entry = self.polys[t][segment] = (poly, poly.breaks[0] > decl.lo or poly.breaks[-1] < decl.hi)
                 poly, narrow = entry
                 if narrow and (s.breaks[0] < poly.breaks[0] or s.breaks[-1] > poly.breaks[-1]):
                     raise CoverageError("integration range escapes the piecewise range")
-                if joint and apart.action not in factors[t]:
-                    v = af.value_at(apart.action)
+                if self.joint and p.action not in self.factors[t]:
+                    v = af.value_at(p.action)
                     if not _is_exact(v):
-                        return None
-                    factors[t][apart.action] = v
-            cells = groups.setdefault((segment, apart.action) if joint else segment, [])
+                        return False
+                    self.factors[t][p.action] = v
+        for pw, p in parts:
+            weight = w if pw is ONE else w * pw.value
+            cells = self.groups.setdefault((segment, p.action) if self.joint else segment, [])
             for lo, hi, h in zip(s.breaks, s.breaks[1:], s.heights):
                 cells.append((lo, hi, weight, h.value))
-    total = _exact_sum(atoms)
-    for t in range(len(terms)):
-        for key, cells in groups.items():
-            if not joint:
-                total += _cells_integral(polys[t][key][0], cells)
-            elif v := factors[t][key[1]]:
-                total += v * _cells_integral(polys[t][key[0]][0], cells)
-    return Number(total)
+        return True
 
-
-def _replaying(g: TestFunction, calls: list) -> TestFunction:
-    """g with an evaluator that answers the (arguments, value) pairs of
-    `calls` in order, without calling g's own, which answers every call
-    past them or with other arguments."""
-    ev = g.evaluator
-    pending = calls[::-1]
-
-    def replay(*args):
-        if pending and pending[-1][0] == args:
-            return pending.pop()[1]
-        return ev(*args)
-
-    return dataclasses.replace(g, evaluator=replay)
+    def total(self) -> Fraction:
+        total = Fraction(0)
+        for t in range(len(self.terms)):
+            for key, cells in self.groups.items():
+                if not self.joint:
+                    total += _cells_integral(self.polys[t][key][0], cells)
+                elif v := self.factors[t][key[1]]:
+                    total += v * _cells_integral(self.polys[t][key[0]][0], cells)
+        return total
 
 
 def _cells_integral(poly: PiecewisePoly, cells) -> Fraction:
@@ -903,16 +862,15 @@ def _cells_integral(poly: PiecewisePoly, cells) -> Fraction:
     return total
 
 
-def _component_integral(c: MeasureComponent, g: TestFunction, tol: float, v: Number | None = None) -> Number:
-    """c's share of the integral of g; `v`, when given, is g's checked
-    value at c's state atom and action atom."""
+def _component_integral(c: MeasureComponent, g: TestFunction, tol: float) -> Number:
+    """c's share of the integral of g."""
+    s = c.state
     if g.arity == "state":
         amass = action_mass(c.action)
-        if isinstance(c.state, StateAtom):
-            if v is None:
-                v = g.evaluate(c.state.point)
+        if isinstance(s, StateAtom):
+            v = g.evaluate(s.point)
         else:
-            v = _state_density_integral(c.state, g, tol)
+            v = _state_density_integral(s, g, _share_tol(tol, c.weight * amass))
         r = c.weight * v
         # times an exact ONE is the identity; a float product keeps the
         # multiply for the slop it adds to the err
@@ -921,9 +879,19 @@ def _component_integral(c: MeasureComponent, g: TestFunction, tol: float, v: Num
         raise MeasureError(f"{g.name!r} needs actions but the measure is a marginal")
     parts = c.action.parts if isinstance(c.action, ActionMixture) else ((ONE, c.action),)
     total = ZERO
-    for w, apart in parts:
-        total = total + w * _pure_integral(c.state, apart, g, tol / len(parts), v)
+    for w, p in parts:
+        if isinstance(s, StateAtom) and isinstance(p, ActionAtom):
+            v = g.evaluate(s.point, p.action)
+        else:
+            v = _pure_integral(s, p, g, _share_tol(tol / len(parts), c.weight * w))
+        total = total + w * v
     return c.weight * total
+
+
+def _share_tol(tol: float, w: Number) -> float:
+    """The tol of a quadrature whose result is multiplied by w: tol / w
+    where w exceeds 1, so that the product's err stays within tol."""
+    return tol / float(w.value) if w > ONE else tol
 
 
 def _state_density_integral(d: StateDensity, g: TestFunction, tol: float) -> Number:
@@ -934,13 +902,10 @@ def _state_density_integral(d: StateDensity, g: TestFunction, tol: float) -> Num
     return _density_quad(d.breaks, d.heights, f, tol, g.declared_class)
 
 
-def _pure_integral(
-    s: StatePart, a: ActionAtom | ActionDensity, g: TestFunction, tol: float, v: Number | None = None
-) -> Number:
+def _pure_integral(s: StatePart, a: ActionAtom | ActionDensity, g: TestFunction, tol: float) -> Number:
+    """g against s x a, not both atoms."""
     atomic_s = isinstance(s, StateAtom)
     atomic_a = isinstance(a, ActionAtom)
-    if atomic_s and atomic_a:
-        return g.evaluate(s.point, a.action) if v is None else v
     if g.structured is not None:
         total = ZERO
         for sf, af in g.structured:

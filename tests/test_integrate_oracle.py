@@ -1,26 +1,29 @@
-"""The grouped exact pass of `integrate` against the per-component loop.
+"""`integrate`'s one in-order pass against the plain loop over components.
 
-`integrate` integrates a structured test function against an exact measure
-(atom or mixture-of-atom action parts, at least one state density) by
-grouping the density cells by (segment, action) and summing integer moments
-per polynomial piece.  The per-component loop it replaces on those measures
-is kept here as `reference_integrate`.  It must give:
+`integrate` takes each component's share in turn: a state atom's value at
+each action atom kept as an integer pair while exact, the cells of an exact
+state density against a structured function grouped by (segment, action)
+with integer moments summed per polynomial piece, and anything else through
+the per-component route; from the first inexact share on, the shares are
+added as Numbers in order.  The plain loop, one Number share per component,
+is kept here as `reference_integrate`.  Against it, `integrate` must give:
 
-* equal exact values, with err 0, on every such measure and function;
+* equal exact values, with err 0, on exact measures (atom or mixture-of-atom
+  action parts, at least one state density) and structured functions, and
+  unchanged exact values on atom-only measures;
 * the same exception, type and message, wherever the loop raises one:
   an uncovered segment or atom, a density escaping the polynomial's range
   (even under a zero action factor), a missing action value, a joint
   function on a marginal;
 * bit-identical floats wherever a float enters, in the measure or in a value
-  the function takes, and unchanged exact values on atom-only measures.
+  the function takes.
 
-Every other measure and function takes the loop, which sums a leading run of
-exact atom components as integers over one common denominator.  On
-functions without a structured form (their values int, Fraction, exact or
+On functions without a structured form (their values int, Fraction, exact or
 float Numbers, floats, values past the bound, or a bad type, at random
 atoms; quadrature on densities), against atom-only measures and measures
-mixing atoms, densities and mixtures, exact and float weights, the loop must
-give the reference's outcome and call the evaluator as often.
+mixing atoms, densities and mixtures, exact and float weights, `integrate`
+must give the reference's outcome and call the evaluator in the same
+sequence, each atom once per action atom.
 
 `integrate` keeps each (measure, function, tolerance) result while the
 measure lives; the last tests check what it keeps and what it drops.
@@ -38,6 +41,7 @@ from hypothesis import given, settings, strategies as st
 
 from absorbing_mdp import (
     ActionAtom,
+    ActionDensity,
     ActionFactor,
     ActionMixture,
     AtomDecl,
@@ -46,6 +50,7 @@ from absorbing_mdp import (
     FiniteActions,
     BoundViolation,
     HybridMeasure,
+    IntervalActions,
     MEASURABLE,
     MeasureComponent,
     MeasureError,
@@ -69,8 +74,6 @@ from absorbing_mdp.measure import (
     DEFAULT_INTEGRATE_TOL,
     CoverageError,
     IntegrationError,
-    _groupable,
-    _grouped_integral,
     _pure_integral,
     _state_density_integral,
     _wrap_value,
@@ -94,9 +97,11 @@ BOUND = F(10**6)
 
 
 def reference_integrate(mu, g, tol=DEFAULT_INTEGRATE_TOL):
-    """`integrate` before the grouped pass and the atom run, with no memo.
-    Densities against a function without a structured form go through the
-    library's quadrature, which neither touches."""
+    """`integrate` as the plain loop over components, with no memo: each
+    component's share in turn, added as a Number.  Densities against a
+    function without a structured form go through the library's quadrature,
+    at the component's part of tol divided by the weight its result is
+    multiplied by, where that exceeds 1."""
     comps = mu.components
     if not comps:
         return ZERO
@@ -107,6 +112,10 @@ def reference_integrate(mu, g, tol=DEFAULT_INTEGRATE_TOL):
     return total
 
 
+def quadrature_tol(tol, w):
+    return tol / float(w.value) if w > 1 else tol
+
+
 def reference_component(c, g, tol):
     if g.arity == "state":
         amass = action_mass(c.action)
@@ -115,7 +124,7 @@ def reference_component(c, g, tol):
         elif g.structured:
             v = g.structured[0].integral_against(c.state)
         else:
-            v = _state_density_integral(c.state, g, tol)
+            v = _state_density_integral(c.state, g, quadrature_tol(tol, c.weight * amass))
         r = c.weight * v
         return r if amass is ONE and r.is_exact else r * amass
     if c.action is None:
@@ -123,14 +132,14 @@ def reference_component(c, g, tol):
     parts = c.action.parts if isinstance(c.action, ActionMixture) else ((ONE, c.action),)
     total = ZERO
     for w, apart in parts:
-        total = total + w * reference_pure(c.state, apart, g, tol / len(parts))
+        total = total + w * reference_pure(c.state, apart, g, quadrature_tol(tol / len(parts), c.weight * w))
     return c.weight * total
 
 
 def reference_pure(s, a, g, tol):
-    if isinstance(s, StateAtom):
+    if isinstance(s, StateAtom) and isinstance(a, ActionAtom):
         return g.evaluate(s.point, a.action)
-    if not g.structured:
+    if isinstance(a, ActionDensity) or not g.structured:
         return _pure_integral(s, a, g, tol)
     total = ZERO
     for sf, af in g.structured:
@@ -255,10 +264,9 @@ def functions(draw, faulty=False):
 @settings(max_examples=150, deadline=None)
 @given(measures(), functions())
 def test_grouped_pass_equals_the_loop(mu, g):
-    assert _groupable(mu.components)
     want = reference_integrate(mu, g)
     assert want.is_exact
-    got = _grouped_integral(mu, g, [])
+    got = integrate(mu, g)
     assert got is not None and got.is_exact
     assert got.value == want.value and got.err == 0
     assert integrate(mu, g) == want
@@ -273,7 +281,6 @@ def test_grouped_pass_raises_what_the_loop_raises(mu, g):
 @settings(max_examples=40, deadline=None)
 @given(measures(atoms_only=True), functions())
 def test_atom_only_measures_keep_their_exact_value(mu, g):
-    assert not _groupable(mu.components)
     want = reference_integrate(mu, g)
     got = integrate(mu, g)
     assert got.is_exact and got == want
@@ -328,7 +335,7 @@ def test_float_measures_keep_the_loop_bit_for_bit(mu, g, demote, data):
 @settings(max_examples=80, deadline=None)
 @given(measures(), st.sampled_from(["coefficient", "action", "atom"]), st.data())
 def test_float_values_of_the_function_keep_the_loop_bit_for_bit(mu, where, data):
-    # a float the function takes: the grouped pass steps aside
+    # a float the function takes ends the exact sum where it is met
     sf = data.draw(state_factors())
     if where == "coefficient":
         label, poly = sf.segment_polys[0]
@@ -345,8 +352,8 @@ def test_float_values_of_the_function_keep_the_loop_bit_for_bit(mu, where, data)
 @settings(max_examples=150, deadline=None)
 @given(measures(marginal_ok=True), functions(faulty=True), st.sampled_from(ATOMS))
 def test_a_grouped_pass_that_steps_aside_evaluates_no_atom_twice(mu, g, floated):
-    # a float at one atom hands the measure back to the loop, which replays
-    # the values the pass has evaluated
+    # a float at one atom ends the exact sum there; no atom is evaluated
+    # twice, and every atom is evaluated in the loop's order
     calls = []
     ev = g.evaluator
 
@@ -360,12 +367,13 @@ def test_a_grouped_pass_that_steps_aside_evaluates_no_atom_twice(mu, g, floated)
     evaluated = len(calls)
     assert outcome(lambda: integrate(mu, g)) == want
     assert len(calls) - evaluated == evaluated
+    assert calls[:evaluated] == calls[evaluated:]
 
 
 @pytest.mark.parametrize("joint", [False, True])
 def test_four_atoms_and_a_density_take_four_evaluations_per_action(joint):
-    # 1/2 at three atoms and 0.25 at the fourth: the grouped pass steps aside
-    # at the fourth, and the loop evaluates none of them again
+    # 1/2 at three atoms and 0.25 at the fourth: the exact sum ends at the
+    # fourth, and none of them is evaluated again
     names = ("p1", "p2", "p3", "p4")
     space = StateSpace(atoms=(*(AtomDecl(x) for x in names), AtomDecl("Delta")),
                        segments=(SegmentDecl("s", F(0), F(1)),))
@@ -391,6 +399,41 @@ def test_four_atoms_and_a_density_take_four_evaluations_per_action(joint):
     assert len(calls) == (8 if joint else 4)
     assert outcome(lambda: got) == outcome(lambda: reference_integrate(mu, g))
     assert not got.is_exact
+
+
+@pytest.mark.parametrize("first", ["atom", "density"])
+@pytest.mark.parametrize("at_atom", [F(1, 3), 0.25, F(3, 2)])
+def test_a_state_atom_under_a_mixture_of_an_action_atom_and_an_action_density(first, at_atom):
+    # the mixture's action atom is evaluated, and its action density
+    # integrated, part by part in the mixture's order, as the loop takes
+    # them; a value past the bound at the action atom is refused there
+    calls = []
+
+    def ev(p, a):
+        calls.append((p, a))
+        if p.atom == "start" and type(a) is Fraction:  # the action atom; samples are floats
+            return at_atom
+        return 0.5 * float(a) if p.atom == "start" else F(1, 5)
+
+    g = TestFunction("h", MEASURABLE, ev, bound=F(1))
+    atom = (Number.exact(3, 4), ActionAtom(F(1, 2)))
+    density = (Number.exact(5, 4), ActionDensity((F(0), F(1, 3), F(1)), (Number.exact(3, 2), Number.exact(3, 4))))
+    mixture = ActionMixture((atom, density) if first == "atom" else (density, atom))
+    domain = Domain(SPACE, IntervalActions())
+    delta = MeasureComponent(StateAtom(SPACE.point("Delta")), ActionAtom(F(1, 4)), Number.exact(1, 2))
+    mu = HybridMeasure(domain, (delta, MeasureComponent(StateAtom(SPACE.point("start")), mixture, Number.exact(2)), delta))
+    got = outcome(lambda: integrate(mu, g))
+    evaluated = len(calls)
+    assert got == outcome(lambda: reference_integrate(mu, g))
+    assert calls[:evaluated] == calls[evaluated:]
+    if at_atom == F(3, 2):
+        assert got[:2] == ("raise", BoundViolation)
+    else:
+        # 1/5 at Delta twice, and a/2 against the density's first moment 5/12
+        want = F(1, 5) + 2 * (F(3, 4) * F(at_atom) + F(5, 4) * F(5, 24))
+        assert got[:2] == ("ok", False)
+        value, err = (struct.unpack("<d", x)[0] for x in got[2:])
+        assert abs(value - float(want)) <= err
 
 
 # nested powers of two up to 600 digits (the ladder's marginals), small
@@ -537,8 +580,9 @@ def test_unstructured_functions_keep_the_loop(mu, g_calls):
     got = outcome(lambda: integrate(mu, g))
     evaluated = len(calls)
     assert got == outcome(lambda: reference_integrate(mu, g))
-    # the run hands the value it evaluated on to the loop
+    # each atom is evaluated once per action atom, in the loop's order
     assert evaluated == len(calls) - evaluated
+    assert calls[:evaluated] == calls[evaluated:]
 
 
 def test_exact_atoms_sum_past_a_float_atom():

@@ -1,5 +1,6 @@
 """Hybrid measures and test integrands: masses, marginals, exact integration."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -326,6 +327,37 @@ def test_continuous_quadrature_fallback_matches_exact_value():
     want = float(poly_density_integral((0, 1, 1), 0, 1, 3)) / 2
     assert not got.is_exact
     assert abs(float(got.value) - want) <= float(got.err) <= 1e-9
+
+
+EIGHT = Number.exact(8)
+UNIT = (F(0), F(1))
+
+# a quadrature's result multiplied by 8: by the component's weight, by the
+# action mass of a state-only function, or by a mixture part's weight
+WEIGHTED = {
+    "component weight": ("state", MeasureComponent(density(UNIT, (1,)), None, EIGHT)),
+    "action mass": ("state", MeasureComponent(density(UNIT, (1,)), ActionDensity(UNIT, (EIGHT,)), ONE)),
+    "mixture part": ("state_action", MeasureComponent(
+        density(UNIT, (1,)), ActionMixture(((EIGHT, ActionAtom(F(1, 2))), (ONE, ActionAtom(F(0))))), ONE)),
+}
+
+
+@pytest.mark.parametrize("declared_class", [MEASURABLE, CONTINUOUS])
+@pytest.mark.parametrize("shape", sorted(WEIGHTED))
+def test_a_weight_above_one_keeps_the_err_within_tol(declared_class, shape):
+    # sin(40x) at action 1/2 (0 at action 0) against the unit density, times 8
+    arity, component = WEIGHTED[shape]
+    if arity == "state":
+        ev = lambda p: math.sin(40 * float(p.coord))
+    else:
+        ev = lambda p, a: math.sin(40 * float(p.coord)) if a else 0.0
+    f = TestFunction("wave", declared_class, ev, arity=arity)
+    tol = 1e-9
+    got = integrate(HybridMeasure(unit_domain(), (component,)), f, tol=tol)
+    want = 8 * (1 - math.cos(40)) / 40
+    assert not got.is_exact
+    assert float(got.err) <= tol
+    assert abs(float(got.value) - want) <= float(got.err)
 
 
 def test_bound_violation_is_raised():

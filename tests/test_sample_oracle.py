@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from absorbing_mdp import (
     ActionAtom,
     ActionDensity,
+    ActionMixture,
     BoundViolation,
     CONTINUOUS,
     Domain,
@@ -350,6 +351,14 @@ ROUTES = {
         lambda: MeasureComponent(StateAtom(StatePoint(segment="seg", coord=F(1, 3))),
                                  _action_density(), ONE),
     ),
+    # joint function, state atom x a mixture of an action atom and an action
+    # density, taken part by part
+    "action-mixture": (
+        "state_action",
+        lambda: MeasureComponent(StateAtom(StatePoint(segment="seg", coord=F(1, 3))),
+                                 ActionMixture(((Number.exact(1, 2), ActionAtom(F(1, 3))),
+                                                (Number.exact(1, 2), _action_density()))), ONE),
+    ),
     # joint function, state density x action atom
     "state-density-action-atom": (
         "state_action",
@@ -379,7 +388,7 @@ def test_sample_checks_fire_inside_integrate(route, bad):
     exc_type, message, value = BAD[bad]
     if arity == "state":
         ev = lambda p: value(float(p.coord))
-    elif route == "action-density":
+    elif route in ("action-density", "action-mixture"):
         ev = lambda p, a: value(float(a))
     else:
         ev = lambda p, a: value(float(p.coord))
