@@ -24,6 +24,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
 
 from .numbers import DigitLimitError, Number, format_number, parse_number
 from .measure import CoverageError, IntegrationError, MeasureError
@@ -80,38 +81,36 @@ def _parse_x0(space, text: str) -> StatePoint:
         raise CliInputError(str(exc)) from exc
 
 
-def _load_entry(args):
-    if getattr(args, "zoo", None):
-        from .zoo import ZOO
-
-        if args.zoo not in ZOO:
-            raise CliInputError(f"unknown instance {args.zoo!r}; have {', '.join(sorted(ZOO))}")
-        return ZOO[args.zoo]()
-    return None
+def _lookup(table: dict, kind: str, name: str):
+    if name not in table:
+        have = ", ".join(sorted(table)) or "none"
+        raise CliInputError(f"unknown {kind} {name!r}; have {have}")
+    return table[name]
 
 
 def _load_model(args):
     """(model, strategies, batteries, families, default_x0, source name)."""
-    entry = _load_entry(args)
-    if entry is not None:
+    if args.zoo:
+        from .zoo import ZOO
+
+        entry = _lookup(ZOO, "instance", args.zoo)()
         strategies = dict(entry.strategies)
         for fam in entry.families.values():
             for name, s in fam.explored():
                 strategies.setdefault(name, s)
         return entry.model, strategies, entry.batteries, entry.families, entry.x0, entry.name
-    if getattr(args, "model", None):
+    if args.model:
         try:
-            doc = model_from_dict(load_json(args.model))
-        except OSError as exc:
+            raw = load_json(args.model)
+        except (OSError, ValueError) as exc:  # ValueError: the file is not JSON
             raise CliInputError(f"cannot read {args.model!r}: {exc}") from exc
+        doc = model_from_dict(raw)
         return doc.model, doc.strategies, {}, {}, None, args.model
     raise CliInputError("pick an instance with --zoo or a file with --model")
 
 
 def _resolve_strategy(strategies, families, name: str):
-    if name in strategies:
-        return strategies[name]
-    if ":" in name:
+    if name not in strategies and ":" in name:
         label, _, idx = name.rpartition(":")
         fam = families.get(label)
         if fam is not None and fam.generator is not None and idx.lstrip("-").isdigit():
@@ -120,9 +119,7 @@ def _resolve_strategy(strategies, families, name: str):
                     f"strategy {name!r}: family {label!r} starts at index {fam.index_lo}"
                 )
             return fam.generator(int(idx))
-    raise CliInputError(
-        f"unknown strategy {name!r}; have {', '.join(sorted(strategies)) or 'none'}"
-    )
+    return _lookup(strategies, "strategy", name)
 
 
 def _positive_number(text: str) -> Fraction:
@@ -160,26 +157,43 @@ def _trunc(args) -> Truncation:
     return Truncation(states=args.trunc_states, stages=args.trunc_stages)
 
 
-def _stamp(doc: dict, args) -> dict:
-    if not args.no_timestamp:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return doc
+def _render(args, doc=None, rows=(), title=None, lines=(), summary=()) -> None:
+    """Write one report in the shape `--format` asks for, to stdout or `-o`.
 
+    * md: `# title`, a blank line, `rows` (header first) as a table, a blank
+      line, then `lines`; a report without a title is `lines` alone;
+    * csv: `rows`, then the `summary` rows (key, value);
+    * json: the document that `doc()` builds, stamped with the time unless
+      `--no-timestamp`; `doc` is called for json reports only.
 
-def _emit(args, text: str):
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+    The whole text is built before the output file is opened, so a report
+    that fails to render writes nothing.
+    """
+    if args.format == "json":
+        report = doc()
+        if not args.no_timestamp:
+            report["generated_at"] = datetime.now(timezone.utc).isoformat()
+        text = dumps(report)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerows(rows)
+        writer.writerows(summary)
+        text = buf.getvalue()
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+        if title is not None:
+            table = ["| " + " | ".join(row) + " |" for row in rows]
+            table.insert(1, "|" + " --- |" * len(rows[0]))
+            lines = [f"# {title}", "", *table, "", *lines]
+        text = "\n".join(lines) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {args.out!r}: {exc}") from exc
 
 
 # -- list ------------------------------------------------------------------
@@ -205,7 +219,7 @@ def cmd_list(args) -> int:
         lines.append(f"  claims: {len(entry.claims)}")
         if entry.notes:
             lines.append(f"  notes: {entry.notes}")
-    _emit(args, "\n".join(lines))
+    _render(args, lines=lines)
     return 0
 
 
@@ -213,12 +227,13 @@ def cmd_list(args) -> int:
 
 
 def _state_label(part) -> str:
-    if hasattr(part, "point"):
-        p = part.point
-        if p.atom is not None:
-            return p.atom
-        return f"{p.segment}:{p.coord}"
-    return f"{part.segment}[{part.breaks[0]}..{part.breaks[-1]}]"
+    """A component's state part (an atom or a density), or a StatePoint."""
+    if hasattr(part, "breaks"):
+        return f"{part.segment}[{part.breaks[0]}..{part.breaks[-1]}]"
+    p = getattr(part, "point", part)
+    if p.atom is not None:
+        return p.atom
+    return f"{p.segment}:{p.coord}"
 
 
 def _action_label(part) -> str:
@@ -265,67 +280,39 @@ def cmd_occupation(args) -> int:
 
     total = occ.measure.total_mass()
     mean = expected_hitting_time(occ)
-    if args.format == "json":
-        doc = {
+    num = partial(_fmt_num, as_float=args.float)
+    rows = [["state", "action", "weight", "mass"]] + [
+        [_state_label(c.state), _action_label(c.action), num(c.weight), num(c.mass())]
+        for c in occ.measure.components
+    ]
+    total_s, tail_s, mean_s = num(total), num(occ.tail_bound), num(mean)
+    _render(
+        args,
+        doc=lambda: {
             "source": source,
             "strategy": args.strategy,
-            "x0": _state_label_from_point(x0),
+            "x0": _state_label(x0),
             "method": occ.method,
             "total_mass": enc_number(total),
             "tail_bound": enc_number(occ.tail_bound),
             "expected_hitting_time": enc_number(mean),
             "measure": measure_to_dict(occ.measure),
-        }
-        _emit(args, dumps(_stamp(doc, args)))
-        return 0
-    rows = [["state", "action", "weight", "mass"]]
-    for c in occ.measure.components:
-        rows.append(
-            [
-                _state_label(c.state),
-                _action_label(c.action),
-                _fmt_num(c.weight, args.float),
-                _fmt_num(c.mass(), args.float),
-            ]
-        )
-    if args.format == "csv":
-        body = _csv_text(rows)
-        tail = _csv_text(
-            [
-                ["total_mass", _fmt_num(total, args.float)],
-                ["tail_bound", _fmt_num(occ.tail_bound, args.float)],
-                ["expected_hitting_time", _fmt_num(mean, args.float)],
-            ]
-        )
-        _emit(args, body + tail)
-        return 0
-    lines = [
-        f"# occupation measure ({source}, strategy {args.strategy})",
-        "",
-        _md_table(rows),
-        "",
-        f"total mass: {_fmt_num(total, args.float)}",
-        f"certified tail bound: {_fmt_num(occ.tail_bound, args.float)}",
-        f"expected hitting time: {_fmt_num(mean, args.float)}",
-        f"solver: {occ.method}",
-    ]
-    _emit(args, "\n".join(lines))
+        },
+        rows=rows,
+        title=f"occupation measure ({source}, strategy {args.strategy})",
+        lines=[
+            f"total mass: {total_s}",
+            f"certified tail bound: {tail_s}",
+            f"expected hitting time: {mean_s}",
+            f"solver: {occ.method}",
+        ],
+        summary=[
+            ["total_mass", total_s],
+            ["tail_bound", tail_s],
+            ["expected_hitting_time", mean_s],
+        ],
+    )
     return 0
-
-
-def _state_label_from_point(p: StatePoint) -> str:
-    if p.atom is not None:
-        return p.atom
-    return f"{p.segment}:{p.coord}"
-
-
-def _md_table(rows) -> str:
-    head, *body = rows
-    out = ["| " + " | ".join(str(c) for c in head) + " |"]
-    out.append("|" + "|".join(" --- " for _ in head) + "|")
-    for row in body:
-        out.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(out)
 
 
 # -- absorption ------------------------------------------------------------
@@ -333,11 +320,7 @@ def _md_table(rows) -> str:
 
 def cmd_absorption(args) -> int:
     model, strategies, _, families, default_x0, source = _load_model(args)
-    if args.family not in families:
-        raise CliInputError(
-            f"unknown family {args.family!r}; have {', '.join(sorted(families)) or 'none'}"
-        )
-    family = families[args.family]
+    family = _lookup(families, "family", args.family)
     x0 = _parse_x0(model.states, args.x0) if args.x0 else default_x0
     if x0 is None:
         raise CliInputError("this model has no default initial state; pass --x0")
@@ -349,32 +332,23 @@ def cmd_absorption(args) -> int:
         eps=args.eps,
         trunc=_trunc(args),
     )
-    doc = absorption_report_to_dict(rep)
-    doc["source"] = source
-    if args.format == "json":
-        _emit(args, dumps(_stamp(doc, args)))
-        return 0
+    num = partial(_fmt_num, as_float=args.float)
     rows = [["strategy", "mean time"] + [f"n={n}" for n in range(rep.n_max + 1)]]
     for name, total, tails in zip(rep.strategy_names, rep.expected_times, rep.rows):
-        rows.append(
-            [name, _fmt_num(total, args.float)] + [_fmt_num(t, args.float) for t in tails]
-        )
-    rows.append(["sup", ""] + [_fmt_num(t, args.float) for t in rep.sup_row])
-    if args.format == "csv":
-        _emit(args, _csv_text(rows) + _csv_text([["verdict", rep.verdict]]))
-        return 0
-    lines = [
-        f"# absorption tails ({source}, family {args.family})",
-        "",
-        _md_table(rows),
-        "",
-        f"verdict: {rep.verdict}",
-        f"note: {rep.note}",
-    ]
+        rows.append([name, num(total), *map(num, tails)])
+    rows.append(["sup", "", *map(num, rep.sup_row)])
+    lines = [f"verdict: {rep.verdict}", f"note: {rep.note}"]
     if rep.witness is not None:
         name, n, v = rep.witness
-        lines.append(f"witness: tail {_fmt_num(v, args.float)} at stage {n} under {name}")
-    _emit(args, "\n".join(lines))
+        lines.append(f"witness: tail {num(v)} at stage {n} under {name}")
+    _render(
+        args,
+        doc=lambda: {**absorption_report_to_dict(rep), "source": source},
+        rows=rows,
+        title=f"absorption tails ({source}, family {args.family})",
+        lines=lines,
+        summary=[["verdict", rep.verdict]],
+    )
     return 0
 
 
@@ -385,16 +359,8 @@ def cmd_convergence(args) -> int:
     model, strategies, batteries, families, default_x0, source = _load_model(args)
     if not batteries:
         raise CliInputError("convergence checks need a built-in instance (--zoo)")
-    if args.battery not in batteries:
-        raise CliInputError(
-            f"unknown battery {args.battery!r}; have {', '.join(sorted(batteries))}"
-        )
-    battery = batteries[args.battery]
-    if args.family not in families:
-        raise CliInputError(
-            f"unknown family {args.family!r}; have {', '.join(sorted(families)) or 'none'}"
-        )
-    family = families[args.family]
+    battery = _lookup(batteries, "battery", args.battery)
+    family = _lookup(families, "family", args.family)
     limit_strategy = _resolve_strategy(strategies, families, args.limit)
     x0 = _parse_x0(model.states, args.x0) if args.x0 else default_x0
 
@@ -410,39 +376,29 @@ def cmd_convergence(args) -> int:
 
     seq = [occupy(s) for _, s in family.explored()]
     rep = check_convergence(seq, occupy(limit_strategy), battery, tol=args.tol)
-    doc = convergence_report_to_dict(rep)
-    doc["source"] = source
-    doc["family"] = args.family
-    doc["limit"] = args.limit
-    if args.format == "json":
-        _emit(args, dumps(_stamp(doc, args)))
-        return 0
-    rows = [["function", "limit value", "final gap", "converged", "persistent"]]
-    for t in rep.traces:
-        rows.append(
-            [
-                t.name,
-                _fmt_num(t.limit_value, args.float),
-                _fmt_num(t.gaps[-1], args.float),
-                str(t.converged),
-                str(t.persistent),
-            ]
-        )
-    if args.format == "csv":
-        _emit(args, _csv_text(rows) + _csv_text([["verdict", rep.verdict]]))
-        return 0
-    lines = [
-        f"# convergence ({source}, family {args.family} -> {args.limit}, "
-        f"battery {args.battery}, mode {rep.mode})",
-        "",
-        _md_table(rows),
-        "",
-        f"verdict: {rep.verdict}" + (f" (witness: {rep.witness})" if rep.witness else ""),
+    num = partial(_fmt_num, as_float=args.float)
+    rows = [["function", "limit value", "final gap", "converged", "persistent"]] + [
+        [t.name, num(t.limit_value), num(t.gaps[-1]), str(t.converged), str(t.persistent)]
+        for t in rep.traces
     ]
+    lines = [f"verdict: {rep.verdict}" + (f" (witness: {rep.witness})" if rep.witness else "")]
     if rep.note:
         lines.append(f"note: {rep.note}")
     lines.append(f"caveat: {rep.caveat}")
-    _emit(args, "\n".join(lines))
+    _render(
+        args,
+        doc=lambda: {
+            **convergence_report_to_dict(rep),
+            "source": source,
+            "family": args.family,
+            "limit": args.limit,
+        },
+        rows=rows,
+        title=f"convergence ({source}, family {args.family} -> {args.limit}, "
+        f"battery {args.battery}, mode {rep.mode})",
+        lines=lines,
+        summary=[["verdict", rep.verdict]],
+    )
     return 0
 
 
@@ -456,31 +412,28 @@ def cmd_reproduce(args) -> int:
         rep = reproduce(args.target)
     except KeyError as exc:
         raise CliInputError(str(exc))
-    if args.format == "json":
-        doc = report_to_dict(rep)
-        _emit(args, dumps(_stamp(doc, args)))
-    elif args.format == "csv":
-        rows = [["id", "acceptance", "passed", "expected", "computed"]]
-        for r in rep.rows:
-            rows.append([r.id, r.acceptance or "", str(r.passed), r.expected, r.computed])
-        _emit(args, _csv_text(rows))
-    else:
-        _emit(args, format_lines(rep))
+    rows = [["id", "acceptance", "passed", "expected", "computed"]] + [
+        [r.id, r.acceptance or "", str(r.passed), r.expected, r.computed] for r in rep.rows
+    ]
+    _render(args, doc=lambda: report_to_dict(rep), rows=rows, lines=[format_lines(rep)])
     return 0 if rep.passed else 1
 
 
 # -- entry point -----------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, model_source=True):
-    if model_source:
-        p.add_argument("--zoo", help="built-in instance name")
-        p.add_argument("--model", help="model JSON file")
-        p.add_argument("--x0", help="initial state: an atom name, or segment:coord")
-        p.add_argument("--trunc-states", type=_nonnegative_int, default=Truncation().states)
-        p.add_argument("--trunc-stages", type=_nonnegative_int, default=Truncation().stages)
-    p.add_argument("--format", choices=("json", "csv", "md"), default="md")
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--zoo", help="built-in instance name")
+    p.add_argument("--model", help="model JSON file")
+    p.add_argument("--x0", help="initial state: an atom name, or segment:coord")
+    p.add_argument("--trunc-states", type=_nonnegative_int, default=Truncation().states)
+    p.add_argument("--trunc-stages", type=_nonnegative_int, default=Truncation().stages)
     p.add_argument("--float", action="store_true", help="render numbers as floats")
+    _add_output(p)
+
+
+def _add_output(p: argparse.ArgumentParser):
+    p.add_argument("--format", choices=("json", "csv", "md"), default="md")
     p.add_argument("--no-timestamp", action="store_true", help="omit the generated-at stamp")
     p.add_argument("-o", "--out", help="write the report to a file instead of stdout")
 
@@ -494,11 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list", help="list built-in instances")
-    p.add_argument("--format", choices=("json", "csv", "md"), default="md")
-    p.add_argument("--float", action="store_true")
-    p.add_argument("--no-timestamp", action="store_true")
-    p.add_argument("-o", "--out")
-    p.set_defaults(func=cmd_list)
+    p.add_argument("-o", "--out", help="write the list to a file instead of stdout")
+    # the list has one shape, plain text: an md report without a title
+    p.set_defaults(func=cmd_list, format="md")
 
     p = sub.add_parser("occupation", help="compute an occupation measure")
     _add_common(p)
@@ -525,10 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the frozen claim tables")
     p.add_argument("--target", default="all")
-    p.add_argument("--format", choices=("json", "csv", "md"), default="md")
-    p.add_argument("--float", action="store_true")
-    p.add_argument("--no-timestamp", action="store_true")
-    p.add_argument("-o", "--out")
+    _add_output(p)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -424,6 +424,8 @@ def model_from_dict(d: dict) -> ModelDocument:
 
 
 def _expect(d: dict, fmt: str):
+    if not isinstance(d, dict):
+        raise FormatError(f"expected a {fmt!r} document, got a {type(d).__name__}")
     if d.get("format") != fmt:
         raise FormatError(f"expected a {fmt!r} document, got {d.get('format')!r}")
     if d.get("version") != FORMAT_VERSION:

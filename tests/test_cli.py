@@ -114,6 +114,21 @@ def test_occupation_tables(capsys):
     assert any(line.startswith("total_mass,") for line in lines)
 
 
+@pytest.mark.parametrize("fmt", ["md", "csv"])
+def test_tables_build_no_json_document(capsys, monkeypatch, fmt):
+    import absorbing_mdp.cli as cli
+
+    def unused(*args, **kwargs):
+        raise AssertionError(f"a {fmt} report built a JSON document")
+
+    monkeypatch.setattr(cli, "measure_to_dict", unused)
+    monkeypatch.setattr(cli, "dumps", unused)
+    rc, out, err = run(
+        capsys, "occupation", "--zoo", "remark2", "--strategy", "only", "--format", fmt
+    )
+    assert rc == 0, err
+
+
 def test_unknown_instance_is_input_error(capsys):
     rc, _, err = run(capsys, "occupation", "--zoo", "mystery", "--strategy", "x")
     assert rc == 2
@@ -362,18 +377,44 @@ BAD_INPUTS = {
          "--trunc-stages", "-1"],
         "argument --trunc-stages",
     ),
+    # list prints plain text only, so it takes no report options
+    "list-format": (["list", "--format", "json"], "unrecognized arguments"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_2_without_traceback(case):
-    argv, message = BAD_INPUTS[case]
+def assert_input_error(argv, message):
+    """`python -m absorbing_mdp argv` exits 2 with one `error:` line naming
+    `message`, and no traceback."""
     cmd, env = module_command()
     proc = subprocess.run(cmd + argv, capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     last = proc.stderr.strip().splitlines()[-1]
     assert "error:" in last and message in last
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(case):
+    assert_input_error(*BAD_INPUTS[case])
+
+
+def test_unwritable_output_path_is_input_error(tmp_path):
+    out = tmp_path / "no-such-dir" / "x.md"
+    assert_input_error(
+        ["occupation", "--zoo", "remark2", "--strategy", "only", "-o", str(out)], "cannot write"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("not json", "cannot read"), ("[1]", "expected a 'absorbing-mdp/model' document")],
+)
+def test_model_file_that_is_not_a_json_object_is_input_error(tmp_path, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert_input_error(
+        ["occupation", "--model", str(path), "--strategy", "go", "--x0", "A"], message
+    )
 
 
 def test_integration_error_is_analysis_failure(capsys, monkeypatch):
@@ -475,7 +516,18 @@ def test_unprintable_exact_value_is_analysis_failure(tmp_path, capsys, fmt):
     assert rc == 1
     assert out == ""
     assert re.fullmatch(r"error: an exact value of about \d+ digits is too long to print\n", err)
-    if fmt != "json":
+    # a report that fails to render creates no output file
+    report = tmp_path / f"report.{fmt}"
+    rc, out, err = run(capsys, *argv, "-o", str(report))
+    assert (rc, out) == (1, "") and err.startswith("error: an exact value")
+    assert not report.exists()
+    if fmt == "json":
+        # json encodes exact values exactly under --float too, so this
+        # report fails inside the renderer
+        rc, out, err = run(capsys, *argv, "--float", "-o", str(report))
+        assert (rc, out) == (1, "") and err.startswith("error: an exact value")
+        assert not report.exists()
+    else:
         # the float rendering needs no string of the exact value
         rc, out, err = run(capsys, *argv, "--float")
         assert rc == 0, err
