@@ -428,7 +428,11 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--x0", help="initial state: an atom name, or segment:coord")
     p.add_argument("--trunc-states", type=_nonnegative_int, default=Truncation().states)
     p.add_argument("--trunc-stages", type=_nonnegative_int, default=Truncation().stages)
-    p.add_argument("--float", action="store_true", help="render numbers as floats")
+    p.add_argument(
+        "--float",
+        action="store_true",
+        help="render numbers as floats in md and csv reports; json reports keep exact values as p/q",
+    )
     _add_output(p)
 
 

@@ -19,6 +19,7 @@ including piecewise-constant selectors on segments.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -383,9 +384,7 @@ class SegmentSelector:
                 raise ModelError("selector breaks must increase strictly")
 
     def action_at(self, coord):
-        import bisect as _b
-
-        i = _b.bisect_right(self.breaks, coord) - 1
+        i = bisect.bisect_right(self.breaks, coord) - 1
         i = min(max(i, 0), len(self.actions) - 1)
         return self.actions[i]
 
@@ -407,10 +406,10 @@ class StageKernel:
 
     def split_density(self, density: StateDensity):
         """Cut a state density into cells on which the stage's action
-        distribution is constant; yields (breaks, heights, dist) triples."""
+        distribution is constant; returns (breaks, heights, dist) triples."""
         for rule in self.rules:
             if isinstance(rule, SegmentSelector) and rule.segment == density.segment:
-                return list(_selector_split(rule, density))
+                return _selector_split(rule, density)
             if isinstance(rule, StrategyRule) and rule.matches(
                 StatePoint(segment=density.segment, coord=density.breaks[0])
             ):
@@ -419,17 +418,29 @@ class StageKernel:
 
 
 def _selector_split(sel: SegmentSelector, density: StateDensity):
-    cuts = sorted(set(density.breaks) | {b for b in sel.breaks if density.breaks[0] < b < density.breaks[-1]})
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = lo + (hi - lo) / 2
-        h = None
-        for a, b, hh in zip(density.breaks, density.breaks[1:], density.heights):
-            if a <= mid < b:
-                h = hh
-                break
-        if h is None:
-            continue
-        yield ((lo, hi), (h,), ActionAtom(sel.action_at(mid)))
+    """The cells of `density` cut at every selector break strictly inside
+    it, each with the height of its own piece and the action of its own
+    selector cell, clamped at the ends as `action_at` clamps.  One pass
+    over both break lists, merged by comparison: a cell is never located
+    by a computed point, so a float cell one ulp wide keeps its own piece."""
+    ys, top = sel.breaks, len(sel.actions) - 1
+    lo = density.breaks[0]
+    k = bisect.bisect_right(ys, lo)  # the selector breaks at or below lo
+
+    def atom(k):  # the action of the selector cell that ends at ys[k]
+        return ActionAtom(sel.actions[min(max(k - 1, 0), top)])
+
+    cells = []
+    for hi, h in zip(density.breaks[1:], density.heights):
+        while k < len(ys) and ys[k] < hi:
+            cells.append(((lo, ys[k]), (h,), atom(k)))
+            lo = ys[k]
+            k += 1
+        cells.append(((lo, hi), (h,), atom(k)))
+        lo = hi
+        if k < len(ys) and ys[k] == hi:
+            k += 1
+    return cells
 
 
 @dataclass(frozen=True)

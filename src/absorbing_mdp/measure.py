@@ -22,11 +22,11 @@ component's share is one of three kinds:
 * an exact state density (weight, heights, breaks and mixture weights
   rational, action atoms or mixtures of atoms) against a structured
   function whose polynomials and action values there are exact: its cells
-  are grouped by (segment, action), or by segment for a state-only
-  function, and each group is integrated against each polynomial piece at
-  once, its moments summed as integers over common denominators.  The
-  coverage and range checks run, and raise, where the per-component route
-  would;
+  join the groups of one (segment, action), or of one segment for a
+  state-only function, and each group is integrated against each
+  polynomial piece at once, its moments summed as integers over common
+  denominators.  The coverage and range checks run, and raise, where the
+  per-component route would;
 * anything else: the per-component route, `_component_integral`.
 
 While every share is exact, the shares are summed once at the end.  At the
@@ -40,13 +40,20 @@ result is multiplied by a weight above 1 (the component's, a mixture
 part's, or the action mass under a state-only function) gets that share
 divided by the weight, so that the err stays within tol.
 
+The grouping depends on the measure alone: which components are exact
+state densities, and their cells by group as integers over per-group
+denominators, are tabled once per (measure, arity) (`_CellTable`).  Each
+pass then runs the function's checks on each tabled component as it
+reaches it, and sums the cells of the components it took (`_CellPass`).
+
 `integrate` keeps each result under (function, tolerance) for as long as
 the measure lives (`memo.remembered`, owned by the measure): a second call
 with the same measure, function object and tolerance returns the same
-Number without evaluating anything.  The memo keeps neither the function
-nor anything the function refers to alive, and nothing is stored on the
-measure itself.  Errors are not kept: a call that raised raises again on
-every call.
+Number without evaluating anything.  The cell tables are kept the same
+way, under the arity.  The memo keeps neither the function nor anything
+the function refers to alive, and nothing is stored on the measure
+itself.  Errors are not kept: a call that raised raises again on every
+call.
 """
 
 from __future__ import annotations
@@ -659,7 +666,7 @@ def _integral(mu: HybridMeasure, g: TestFunction, tol: float) -> Number:
     share = tol / len(comps)
     joint = g.arity != "state"
     ev = g.evaluator
-    cells = _Cells(mu.domain.states, g) if g.structured else None
+    cells = _CellPass(mu, g) if g.structured else None
     terms = []  # (numerator, denominator) of each exact share
     rest = None  # the components past the first inexact share
     for i, c in enumerate(comps):
@@ -673,7 +680,7 @@ def _integral(mu: HybridMeasure, g: TestFunction, tol: float) -> Number:
             v = Number(Fraction(*t)) if type(t) is tuple else t
             # c's share as _component_integral computes it from v
             r = c.weight * (ZERO + ONE * v) if joint else c.weight * v * ONE
-        elif type(s) is StateDensity and cells is not None and cells.add(c):
+        elif type(s) is StateDensity and cells is not None and cells.take(i):
             continue
         else:
             r = _component_integral(c, g, share)
@@ -745,112 +752,171 @@ def _exact_poly(poly: PiecewisePoly) -> bool:
     return all(map(_is_exact, poly.breaks)) and all(_is_exact(c) for row in poly.coeffs for c in row)
 
 
-class _Cells:
-    """The exact state-density components of one pass for a structured g.
+# id(mu) -> {(joint,): ((), the _CellTable of mu for that arity)}; see `memo`.
+_TABLES: dict[int, dict] = {}
 
-    Their cells are collected by (segment, action) for a joint g and by
-    segment for a state-only one, and each group is integrated against each
-    term's polynomial in one pass (`_cells_integral`), times the term's
-    action factor.
+
+class _CellTable:
+    """The measure side of the grouped pass, for a joint or a state-only g:
+    which components are exact state densities (weight, heights, breaks,
+    action atoms and mixture weights rational), and their cells, grouped by
+    (segment, action) for a joint g and by segment for a state-only one.
+
+    `rows[i]` is ((segment, actions), lo, hi) for such a component i, lo
+    and hi the ends of its density.  `groups[key]` is (d, q, cells): each
+    cell (i, p, a, b) of component i is [a/d, b/d] carrying weight times
+    height p/q, with d and q common to the group.
     """
 
-    def __init__(self, states: StateSpace, g: TestFunction):
-        self.states = states
+    def __init__(self, mu: HybridMeasure, joint: bool):
+        self.rows: dict = {}
+        found: dict = {}  # key -> [(i, lo, hi, weight, height)]
+        for i, c in enumerate(mu.components):
+            s, a, w = c.state, c.action, c.weight.value
+            if type(s) is not StateDensity or type(w) is not Fraction:
+                continue
+            if not all(type(h.value) is Fraction for h in s.heights) or not all(map(_is_exact, s.breaks)):
+                continue
+            if joint:
+                parts = a.parts if type(a) is ActionMixture else ((ONE, a),)
+                if not all(type(p) is ActionAtom and type(pw.value) is Fraction for pw, p in parts):
+                    continue
+            else:
+                parts = ((action_mass(a), None),)
+                if type(parts[0][0].value) is not Fraction:
+                    continue
+            actions = tuple(p.action for _, p in parts) if joint else (None,)
+            self.rows[i] = ((s.segment, actions), s.breaks[0], s.breaks[-1])
+            for pw, p in parts:
+                weight = w if pw is ONE else w * pw.value
+                cells = found.setdefault((s.segment, p.action) if joint else s.segment, [])
+                for lo, hi, h in zip(s.breaks, s.breaks[1:], s.heights):
+                    cells.append((i, lo, hi, weight, h.value))
+        self.groups = {key: _as_ints(cells) for key, cells in found.items()}
+
+
+def _as_ints(cells):
+    """(d, q, [(i, p, a, b)]) for exact cells (i, lo, hi, w, h): lo = a/d,
+    hi = b/d and w·h = p/q over common denominators d and q."""
+    d = math.lcm(*{cell[1].denominator for cell in cells}, *{cell[2].denominator for cell in cells})
+    q = math.lcm(*{w.denominator * h.denominator for _, _, _, w, h in cells})
+    return d, q, [
+        (i, w.numerator * h.numerator * (q // (w.denominator * h.denominator)),
+         lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator))
+        for i, lo, hi, w, h in cells
+    ]
+
+
+class _CellPass:
+    """The function side of the grouped pass: `take(i)` tells whether the
+    tabled component i goes to the grouped sum, after the coverage and range
+    checks of `_component_integral`, run in its order and raising its
+    errors; `total()` integrates the cells of the components taken, each
+    group against each term's polynomial at once (`_cells_integral`), times
+    the term's action factor."""
+
+    def __init__(self, mu: HybridMeasure, g: TestFunction):
+        self.mu = mu
+        self.table = None  # mu's _CellTable, fetched at the first state density
         self.joint = g.arity != "state"
         self.terms = g.structured if self.joint else ((g.structured[0], None),)
         self.polys = [{} for _ in self.terms]  # per term: segment -> (polynomial, can a density escape it)
         self.factors = [{} for _ in self.terms]  # per term: action -> action factor
-        self.groups: dict = {}  # (segment, action) or segment -> [(lo, hi, weight, height)]
+        self.known: dict = {}  # (segment, actions) -> outcome of checks no range check took part in
+        self.taken: list = []
 
-    def add(self, c: MeasureComponent) -> bool:
-        """Group the cells of c, a state density, when c's weight, heights,
-        breaks and action part, and g's polynomials and action factors on
-        them, are exact; else return False and group nothing.  The coverage
-        and range checks of `_component_integral` run first, in its order,
-        and raise its errors."""
-        s, a, w = c.state, c.action, c.weight.value
-        if type(w) is not Fraction:
+    def take(self, i: int) -> bool:
+        if self.table is None:
+            mu, joint = self.mu, self.joint
+            self.table = remembered(_TABLES, mu, (), (joint,), lambda: _CellTable(mu, joint))
+        row = self.table.rows.get(i)
+        if row is None:
             return False
-        for h in s.heights:
-            if type(h.value) is not Fraction:
-                return False
-        for b in s.breaks:
-            if not _is_exact(b):
-                return False
-        if self.joint:
-            parts = a.parts if type(a) is ActionMixture else ((ONE, a),)
-            for pw, p in parts:
-                if type(p) is not ActionAtom or type(pw.value) is not Fraction:
-                    return False
-        else:
-            parts = ((action_mass(a), None),)
-            if type(parts[0][0].value) is not Fraction:
-                return False
-        segment = s.segment
-        for _, p in parts:
+        key, lo, hi = row
+        ok = self.known.get(key)
+        if ok is None:
+            ok = self._check(key, lo, hi)
+        if ok:
+            self.taken.append(i)
+        return ok
+
+    def _check(self, key, lo, hi) -> bool:
+        """Whether g's polynomials and action factors on the component are
+        exact.  The outcome is kept for key = (segment, actions) unless a
+        polynomial narrower than the segment, whose range check depends on
+        [lo, hi], took part in it."""
+        segment, actions = key
+        ranged = False
+        for action in actions:
             for t, (sf, af) in enumerate(self.terms):
                 entry = self.polys[t].get(segment)
                 if entry is None:
                     poly = sf.poly_for(segment)
                     if not _exact_poly(poly):
-                        return False
+                        return self._keep(key, ranged, False)
                     # the measure keeps every density inside its segment
-                    decl = self.states.segment_decl(segment)
+                    decl = self.mu.domain.states.segment_decl(segment)
                     entry = self.polys[t][segment] = (poly, poly.breaks[0] > decl.lo or poly.breaks[-1] < decl.hi)
                 poly, narrow = entry
-                if narrow and (s.breaks[0] < poly.breaks[0] or s.breaks[-1] > poly.breaks[-1]):
-                    raise CoverageError("integration range escapes the piecewise range")
-                if self.joint and p.action not in self.factors[t]:
-                    v = af.value_at(p.action)
+                if narrow:
+                    ranged = True
+                    if lo < poly.breaks[0] or hi > poly.breaks[-1]:
+                        raise CoverageError("integration range escapes the piecewise range")
+                if self.joint and action not in self.factors[t]:
+                    v = af.value_at(action)
                     if not _is_exact(v):
-                        return False
-                    self.factors[t][p.action] = v
-        for pw, p in parts:
-            weight = w if pw is ONE else w * pw.value
-            cells = self.groups.setdefault((segment, p.action) if self.joint else segment, [])
-            for lo, hi, h in zip(s.breaks, s.breaks[1:], s.heights):
-                cells.append((lo, hi, weight, h.value))
-        return True
+                        return self._keep(key, ranged, False)
+                    self.factors[t][action] = v
+        return self._keep(key, ranged, True)
+
+    def _keep(self, key, ranged: bool, ok: bool) -> bool:
+        if not ranged:
+            self.known[key] = ok
+        return ok
 
     def total(self) -> Fraction:
+        if not self.taken:
+            return Fraction(0)
+        groups = self.table.groups
+        if len(self.taken) < len(self.table.rows):
+            keep = set(self.taken)
+            groups = {key: (d, q, [c for c in cells if c[0] in keep]) for key, (d, q, cells) in groups.items()}
         total = Fraction(0)
         for t in range(len(self.terms)):
-            for key, cells in self.groups.items():
+            for key, (d, q, cells) in groups.items():
+                if not cells:
+                    continue
                 if not self.joint:
-                    total += _cells_integral(self.polys[t][key][0], cells)
+                    total += _cells_integral(self.polys[t][key][0], d, q, cells)
                 elif v := self.factors[t][key[1]]:
-                    total += v * _cells_integral(self.polys[t][key[0]][0], cells)
+                    total += v * _cells_integral(self.polys[t][key[0]][0], d, q, cells)
         return total
 
 
-def _cells_integral(poly: PiecewisePoly, cells) -> Fraction:
-    """Σ w·h·∫_lo^hi poly over exact cells (lo, hi, w, h) inside the
-    polynomial's range.
+def _cells_integral(poly: PiecewisePoly, d: int, q: int, cells) -> Fraction:
+    """Σ (p/q)·∫ poly over [a/d, b/d] for the cells (i, p, a, b), all inside
+    the polynomial's range.
 
-    Every cell end and break is n/d over one common denominator d, and every
-    w·h is p/q over one common denominator q, so the power-m moment of a
-    piece, Σ w·h·(hi^m − lo^m) over its cells, is Σ p·(n_hi^m − n_lo^m) over
-    q·d^m.  A cell that straddles a break is split there, the sums run over
+    The cell ends and the breaks are brought to one common denominator D, so
+    the power-m moment of a piece, Σ p·(b^m − a^m) over its cells, is over
+    q·D^m.  A cell that straddles a break is split there, the sums run over
     Python ints, and one Fraction is built per (piece, power).
     """
-    d = math.lcm(
-        *{x.denominator for x in poly.breaks},
-        *{cell[0].denominator for cell in cells},
-        *{cell[1].denominator for cell in cells},
-    )
-    q = math.lcm(*{w.denominator * h.denominator for _, _, w, h in cells})
-    cuts = [x.numerator * (d // x.denominator) for x in poly.breaks]
-    pieces = [[] for _ in poly.coeffs]  # per piece: (p, n_lo, n_hi)
-    for lo, hi, w, h in cells:
-        p = w.numerator * h.numerator * (q // (w.denominator * h.denominator))
-        a = lo.numerator * (d // lo.denominator)
-        b = hi.numerator * (d // hi.denominator)
-        i = bisect.bisect_right(cuts, a) - 1
-        while b > cuts[i + 1]:
-            pieces[i].append((p, a, cuts[i + 1]))
-            a = cuts[i + 1]
-            i += 1
-        pieces[i].append((p, a, b))
+    D = math.lcm(d, *{x.denominator for x in poly.breaks})
+    up = D // d
+    cuts = [x.numerator * (D // x.denominator) for x in poly.breaks]
+    if len(poly.coeffs) == 1:  # every cell lies in the one piece
+        pieces = [[(p, a * up, b * up) for _, p, a, b in cells]]
+    else:
+        pieces = [[] for _ in poly.coeffs]  # per piece: (p, a, b)
+        for _, p, a, b in cells:
+            a, b = a * up, b * up
+            i = bisect.bisect_right(cuts, a) - 1
+            while b > cuts[i + 1]:
+                pieces[i].append((p, a, cuts[i + 1]))
+                a = cuts[i + 1]
+                i += 1
+            pieces[i].append((p, a, b))
     total = Fraction(0)
     for row, piece in zip(poly.coeffs, pieces):
         if piece:
@@ -858,7 +924,7 @@ def _cells_integral(poly: PiecewisePoly, cells) -> Fraction:
                 if coeff:
                     m = j + 1
                     moment = sum(p * (b**m - a**m) for p, a, b in piece)
-                    total += coeff * Fraction(moment, m * q * d**m)
+                    total += coeff * Fraction(moment, m * q * D**m)
     return total
 
 

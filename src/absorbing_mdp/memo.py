@@ -10,8 +10,9 @@ matches, and the memo keeps alive neither those objects nor anything they
 refer to.  A call that raises stores nothing, so it raises again on every
 call.
 
-`integrate` keeps an integral under its measure (refs: the function); the
-countable solver keeps an occupation under its strategy (refs: the model).
+`integrate` keeps an integral under its measure (refs: the function) and
+a cell table under its measure (refs: none); the countable solver keeps an
+occupation under its strategy (refs: the model).
 """
 
 from __future__ import annotations

@@ -236,18 +236,17 @@ def _step(model: MdpModel, parts, stage, frontier: Number):
 
 
 def _merge_joint(domain: Domain, components) -> HybridMeasure:
-    merged: dict = {}
-    order: list = []
+    """Components with equal (state part, action part) summed, in
+    first-seen order; each key is hashed once."""
+    index: dict = {}
+    merged: list = []
     for s, a, w in components:
-        key = (s, a)
-        if key in merged:
-            merged[key] = merged[key] + w
+        i = index.setdefault((s, a), len(merged))
+        if i == len(merged):
+            merged.append([s, a, w])
         else:
-            merged[key] = w
-            order.append(key)
-    return HybridMeasure(
-        domain, tuple(MeasureComponent(s, a, merged[(s, a)]) for s, a in order)
-    )
+            merged[i][2] = merged[i][2] + w
+    return HybridMeasure(domain, tuple(MeasureComponent(s, a, w) for s, a, w in merged))
 
 
 def occupation_unroll(

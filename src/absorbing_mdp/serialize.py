@@ -396,30 +396,53 @@ def model_to_dict(model: MdpModel, strategies: dict | None = None) -> dict:
     return doc
 
 
+def _kernel_from_dict(d: dict) -> TransitionKernel:
+    return TransitionKernel(
+        rows=tuple(
+            ((src, act), tuple((name, dec_number(p)) for name, p in row))
+            for (src, act), row in d["rows"]
+        ),
+        rules=tuple(_rule_from_dict(r) for r in d["rules"]),
+    )
+
+
+_REQUIRED = object()
+
+
+def _field(d: dict, name: str, decode=None, default=_REQUIRED):
+    """d[name], or `default` when the field is absent, through `decode`.  A
+    missing field, or a value of the wrong shape, raises FormatError naming
+    the field; the model's own errors (ModelError, MeasureError, ...) pass
+    through."""
+    if name not in d and default is _REQUIRED:
+        raise FormatError(f"model document has no {name!r} field")
+    value = d.get(name, default)
+    if decode is None:
+        return value
+    try:
+        return decode(value)
+    except (KeyError, IndexError, TypeError, AttributeError, ZeroDivisionError, ValueError) as exc:
+        if isinstance(exc, ValueError) and type(exc) not in (ValueError, FormatError):
+            raise
+        detail = f"missing {exc}" if type(exc) is KeyError else str(exc)
+        raise FormatError(f"bad model field {name!r}: {detail}") from exc
+
+
 def model_from_dict(d: dict) -> ModelDocument:
     _expect(d, "absorbing-mdp/model")
-    kernel = TransitionKernel(
-        rows=tuple(
-            (
-                (src, act),
-                tuple((name, dec_number(p)) for name, p in row),
-            )
-            for (src, act), row in d["kernel"]["rows"]
-        ),
-        rules=tuple(_rule_from_dict(r) for r in d["kernel"]["rules"]),
-    )
+    kernel = _field(d, "kernel", _kernel_from_dict)
     model = MdpModel(
-        name=d["name"],
-        states=space_from_dict(d["states"]),
-        actions=actions_from_dict(d["actions"]),
+        name=_field(d, "name"),
+        states=_field(d, "states", space_from_dict),
+        actions=_field(d, "actions", actions_from_dict),
         kernel=kernel,
-        condition_tags=frozenset(d.get("condition_tags", ())),
-        condition_note=d.get("condition_note", ""),
-        frontier=frozenset(d.get("frontier", ())),
+        condition_tags=_field(d, "condition_tags", frozenset, ()),
+        condition_note=_field(d, "condition_note", default=""),
+        frontier=_field(d, "frontier", frozenset, ()),
     )
-    strategies = {
-        name: strategy_from_dict(s) for name, s in d.get("strategies", {}).items()
-    }
+    strategies = _field(
+        d, "strategies", lambda ss: {name: strategy_from_dict(s) for name, s in ss.items()}, {}
+    )
     return ModelDocument(model, strategies)
 
 

@@ -281,18 +281,29 @@ def determinism_defect(mu: HybridMeasure) -> Number:
         defect = defect + (total - top)
 
     for pieces in seg_pieces.values():
-        cuts = sorted({b for breaks, _, _, _ in pieces for b in breaks})
-        # A cell [lo, hi) of the common refinement belongs to the piece
-        # interval [a, b) that holds its midpoint lo + (hi - lo) / 2.  pos[c]
-        # is the first cell whose midpoint is >= the cut c, so [a, b) holds
-        # cells[pos[a]:pos[b]].  That first cell is c's own, unless the cell
-        # below c has a float midpoint that rounds up onto c.
-        pos = {c: i for i, c in enumerate(cuts)}
-        for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)) and lo + (hi - lo) / 2 >= hi:
-                pos[hi] = j
+        ends = [breaks for breaks, _, _, _ in pieces]
+        d = None
+        if all(isinstance(b, (int, Fraction)) for breaks in ends for b in breaks):
+            # exact cuts are sorted and indexed as integers over their
+            # common denominator d; a cell is [cuts[j], cuts[j + 1])
+            d = math.lcm(*{b.denominator for breaks in ends for b in breaks})
+            ends = [[b.numerator * (d // b.denominator) for b in breaks] for breaks in ends]
+            cuts = sorted({n for breaks in ends for n in breaks})
+            pos = {n: i for i, n in enumerate(cuts)}
+        else:
+            cuts = sorted({b for breaks in ends for b in breaks})
+            # A cell [lo, hi) of the common refinement belongs to the piece
+            # interval [a, b) that holds its midpoint lo + (hi - lo) / 2.
+            # pos[c] is the first cell whose midpoint is >= the cut c, so
+            # [a, b) holds cells[pos[a]:pos[b]].  That first cell is c's own,
+            # unless the cell below c has a float midpoint that rounds up
+            # onto c.
+            pos = {c: i for i, c in enumerate(cuts)}
+            for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)) and lo + (hi - lo) / 2 >= hi:
+                    pos[hi] = j
         cells = [{} for _ in cuts[1:]]
-        for breaks, heights, action, weight in pieces:
+        for breaks, (_, heights, action, weight) in zip(ends, pieces):
             for a, b, h in zip(breaks, breaks[1:], heights):
                 mass = weight * h
                 for per_action in cells[pos[a]:pos[b]]:
@@ -302,6 +313,9 @@ def determinism_defect(mu: HybridMeasure) -> Number:
                 continue
             total = nsum(per_action.values())
             top = max(per_action.values(), key=lambda v: v.value)
-            length = Number.lift(hi - lo) if not isinstance(hi - lo, float) else Number.approx(hi - lo, 0.0)
+            if d is not None:
+                length = Number(Fraction(hi - lo, d))
+            else:
+                length = Number.lift(hi - lo) if not isinstance(hi - lo, float) else Number.approx(hi - lo, 0.0)
             defect = defect + (total - top) * length
     return defect

@@ -417,6 +417,25 @@ def test_model_file_that_is_not_a_json_object_is_input_error(tmp_path, text, mes
     )
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"format": "absorbing-mdp/model", "version": 1, "kernel": {"rows": [[1]]}}',
+            "bad model field 'kernel'",
+        ),
+        ('{"format": "absorbing-mdp/model", "version": 1}', "no 'kernel' field"),
+    ],
+    ids=["kernel-row-not-a-pair", "no-kernel"],
+)
+def test_model_document_of_the_wrong_shape_is_input_error(tmp_path, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert_input_error(
+        ["occupation", "--model", str(path), "--strategy", "go", "--x0", "A"], message
+    )
+
+
 def test_integration_error_is_analysis_failure(capsys, monkeypatch):
     import absorbing_mdp.cli as cli
     from absorbing_mdp.measure import IntegrationError

@@ -25,8 +25,9 @@ mixing atoms, densities and mixtures, exact and float weights, `integrate`
 must give the reference's outcome and call the evaluator in the same
 sequence, each atom once per action atom.
 
-`integrate` keeps each (measure, function, tolerance) result while the
-measure lives; the last tests check what it keeps and what it drops.
+`integrate` keeps each (measure, function, tolerance) result, and the
+measure's cell table for each arity, while the measure lives; the last
+tests check what it keeps and what it drops.
 """
 
 import dataclasses
@@ -69,7 +70,7 @@ from absorbing_mdp import (
     structured_joint_function,
     structured_state_function,
 )
-from absorbing_mdp import measure
+from absorbing_mdp import measure, occupation_unroll
 from absorbing_mdp.measure import (
     DEFAULT_INTEGRATE_TOL,
     CoverageError,
@@ -79,6 +80,8 @@ from absorbing_mdp.measure import (
     _wrap_value,
     action_mass,
 )
+
+from absorbing_mdp.zoo import remark1
 
 F = Fraction
 
@@ -695,3 +698,72 @@ def test_a_value_past_the_bound_is_refused_on_every_call():
     for _ in range(2):
         with pytest.raises(BoundViolation, match="beyond bound 1"):
             integrate(mu, g)
+
+
+# -- the cell tables ---------------------------------------------------------
+
+
+def _counting_tables(monkeypatch):
+    built = []
+
+    class Counting(measure._CellTable):
+        def __init__(self, mu, joint):
+            built.append(joint)
+            super().__init__(mu, joint)
+
+    monkeypatch.setattr(measure, "_CellTable", Counting)
+    return built
+
+
+def test_a_cell_table_is_built_once_per_arity_and_dies_with_its_measure(monkeypatch):
+    built = _counting_tables(monkeypatch)
+    entry = remark1(depth=4)
+    mu = occupation_unroll(entry.model, entry.families["alternating"].generator(4), entry.x0, 2).measure
+    battery = entry.batteries["ws-extended"].functions
+    assert len(battery) == 7 and all(f.arity == "state_action" for f in battery)
+    for f in battery:
+        assert integrate(mu, f) == reference_integrate(mu, f)
+    assert built == [True]
+    x = PiecewisePoly((F(0), F(1)), ((F(0), F(1)),))
+    factor = StateFactor(segment_polys=(("unit", x),), atom_values=(("start", F(0)), ("Delta", F(0))))
+    for name in ("x", "x again"):
+        g = structured_state_function(name, CONTINUOUS, factor, F(1))
+        assert integrate(mu, g) == reference_integrate(mu, g)
+    assert built == [True, False]
+
+    key, alive = id(mu), weakref.ref(mu)
+    assert set(measure._TABLES[key]) == {(True,), (False,)}
+    del mu
+    gc.collect()
+    assert alive() is None
+    assert key not in measure._TABLES
+
+
+def test_functions_that_take_different_components_share_one_table(monkeypatch):
+    built = _counting_tables(monkeypatch)
+    n = Number.exact
+    comps = (
+        MeasureComponent(StateDensity("s", (F(0), F(1, 2), F(1)), (n(1), n(3))), ActionAtom("0"), ONE),
+        MeasureComponent(StateDensity("t", (F(1, 2), F(3, 2)), (n(2),)), ActionAtom("1"), n(1, 3)),
+        MeasureComponent(StateDensity("s", (F(1, 4), F(3, 4)), (n(5),)), ActionAtom("1"), ONE),
+    )
+    mu = HybridMeasure(DOMAIN, comps)
+    x = PiecewisePoly((F(0), F(1)), ((F(0), F(1)),))
+    on_t = PiecewisePoly((F(1, 3), F(2)), ((F(1, 2), F(1)),))
+    on_t_float = PiecewisePoly((F(1, 3), F(2)), ((0.5, F(1)),))
+    af = ActionFactor(table=(("0", F(2)), ("1", F(1, 7)), ("2", F(0))))
+    af_float = ActionFactor(table=(("0", F(2)), ("1", 0.25), ("2", F(0))))
+    joint = structured_joint_function
+    funcs = [
+        # every density taken
+        joint("all", MEASURABLE, ((StateFactor((("s", x), ("t", on_t))), af),), BOUND),
+        # an inexact polynomial on t: the walk takes the first density only,
+        # and the rest by the per-component route
+        joint("no-t", MEASURABLE, ((StateFactor((("s", x), ("t", on_t_float))), af),), BOUND),
+        # an inexact value at action "1": the same
+        joint("no-1", MEASURABLE, ((StateFactor((("s", x), ("t", on_t))), af_float),), BOUND),
+    ]
+    for g in funcs:
+        assert outcome(lambda: integrate(mu, g)) == outcome(lambda: reference_integrate(mu, g))
+    assert [integrate(mu, g).is_exact for g in funcs] == [True, False, False]
+    assert built == [True]

@@ -1,9 +1,11 @@
 """Models, kernels, validation diagnostics and strategy plumbing."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from absorbing_mdp import (
     ActionAtom,
@@ -226,6 +228,85 @@ def test_selector_splits_density_and_preserves_mass():
     ]
     mass = sum((hi - lo) * 2 for (lo, hi), _, _ in parts)
     assert mass == F(1)
+
+
+def midpoint_split(sel, density):
+    """The selector split as it was once written: cut at every break, then
+    find each cell's piece and action at its midpoint.  A float cell one
+    ulp wide can have a midpoint that rounds onto its upper end."""
+    cuts = sorted(set(density.breaks) | {b for b in sel.breaks if density.breaks[0] < b < density.breaks[-1]})
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = lo + (hi - lo) / 2
+        h = None
+        for a, b, hh in zip(density.breaks, density.breaks[1:], density.heights):
+            if a <= mid < b:
+                h = hh
+                break
+        if h is None:
+            continue
+        out.append(((lo, hi), (h,), ActionAtom(sel.action_at(mid))))
+    return out
+
+
+def _ulp_split(breaks):
+    sel = SegmentSelector("seg", breaks=(0.0, 0.5, 1.0), actions=("lo", "hi"))
+    heights = tuple(Number.exact(j + 1) for j in range(len(breaks) - 1))
+    return StageKernel(rules=(sel,)).split_density(StateDensity("seg", breaks, heights)), heights
+
+
+def test_a_cell_one_ulp_wide_keeps_its_own_height():
+    x = 0.3
+    up = math.nextafter(x, 1.0)
+    assert x + (up - x) / 2 == up  # the midpoint rounds onto the upper end
+    parts, (h1, h2, h3) = _ulp_split((0.0, x, up, 1.0))
+    assert parts == [
+        ((0.0, x), (h1,), ActionAtom("lo")),
+        ((x, up), (h2,), ActionAtom("lo")),
+        ((up, 0.5), (h3,), ActionAtom("lo")),
+        ((0.5, 1.0), (h3,), ActionAtom("hi")),
+    ]
+
+
+def test_a_last_cell_one_ulp_wide_is_kept():
+    x = 0.3
+    up = math.nextafter(x, 1.0)
+    parts, (h1, h2) = _ulp_split((0.0, x, up))
+    assert parts == [((0.0, x), (h1,), ActionAtom("lo")), ((x, up), (h2,), ActionAtom("lo"))]
+    density = StateDensity("seg", (0.0, x, up), (h1, h2))
+    assert sum(h.value * (hi - lo) for (lo, hi), (h,), _ in parts) == density.mass().value
+
+
+_coords = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@st.composite
+def _split_cases(draw):
+    """A density on part of [0, 1] and a selector whose breaks are drawn from
+    the density's own breaks, from [0, 1], and from outside [0, 1], so that
+    it starts or ends inside the density, lies outside it, or shares its
+    breaks."""
+    breaks = tuple(sorted(draw(st.lists(_coords, min_size=2, max_size=6, unique=True))))
+    heights = tuple(Number.exact(j + 1) for j in range(len(breaks) - 1))
+    pool = st.one_of(
+        st.sampled_from(breaks), _coords, st.fractions(min_value=-1, max_value=2, max_denominator=6)
+    )
+    cuts = tuple(sorted(draw(st.lists(pool, min_size=2, max_size=7, unique=True))))
+    actions = tuple(draw(st.sampled_from("abc")) for _ in cuts[1:])
+    return SegmentSelector("seg", cuts, actions), StateDensity("seg", breaks, heights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_cases())
+def test_selector_split_matches_the_midpoint_split_on_exact_breaks(case):
+    sel, density = case
+    got = StageKernel(rules=(sel,)).split_density(density)
+    want = midpoint_split(sel, density)
+    assert got == want
+    assert [type(x) for (lo, hi), _, _ in got for x in (lo, hi)] == [
+        type(x) for (lo, hi), _, _ in want for x in (lo, hi)
+    ]
+    assert [h is w for (_, (h,), _), (_, (w,), _) in zip(got, want)] == [True] * len(want)
 
 
 # -- families --------------------------------------------------------------

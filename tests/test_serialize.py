@@ -105,6 +105,32 @@ def test_format_and_version_are_enforced():
         model_from_dict(stale)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("kernel", None, "model document has no 'kernel' field"),
+        ("kernel", {"rows": [[1]]}, "bad model field 'kernel': not enough values to unpack"),
+        ("kernel", {"rows": []}, "bad model field 'kernel': missing 'rules'"),
+        ("states", None, "model document has no 'states' field"),
+        ("states", [], "bad model field 'states'"),
+        ("actions", {"type": "finite"}, "bad model field 'actions': missing 'names'"),
+        ("actions", {"type": "cube"}, "bad model field 'actions': unknown action space type"),
+        ("frontier", 3, "bad model field 'frontier'"),
+        ("strategies", [1], "bad model field 'strategies'"),
+    ],
+)
+def test_a_document_of_the_wrong_shape_names_its_field(field, value, message):
+    entry = example1()
+    doc = model_to_dict(entry.model, entry.strategies)
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    with pytest.raises(FormatError) as caught:
+        model_from_dict(doc)
+    assert str(caught.value).startswith(message)
+
+
 # -- measures --------------------------------------------------------------
 
 
