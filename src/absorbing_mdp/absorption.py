@@ -116,16 +116,11 @@ def verify_supersolution(model: MdpModel, w: ValueFunction, support) -> VerifyRe
         lhs = w.value_at(atom)
         rhs = _apply_at(model, w.value_at, atom)
         details.append((atom, lhs, rhs))
-        if lhs.is_exact and rhs.is_exact:
-            if lhs.value < rhs.value and first_violation is None:
-                first_violation = atom
-            elif lhs.value > rhs.value:
-                strict = True
-        else:
-            if lhs < rhs and first_violation is None:
-                first_violation = atom
-            elif lhs > rhs:
-                strict = True
+        # exact sides compare by cross products, inexact ones by value
+        if lhs < rhs and first_violation is None:
+            first_violation = atom
+        elif lhs > rhs:
+            strict = True
     if first_violation is not None:
         return VerifyResult("violated", first_violation, tuple(details))
     if strict:
@@ -189,20 +184,18 @@ def uniformity_report(
                 if witness is None or (n, float(row[n].value)) > (witness[1], float(witness[2].value)):
                     witness = cand
     if witness is not None:
-        return AbsorptionReport(
-            float(eps), n_max, tuple(names), tuple(times), tuple(rows), tuple(sup_row),
-            "non_uniform_witness", witness,
-            note=f"tail sum stays at or above eps at stage {witness[1]} under {witness[0]!r}",
+        verdict = "non_uniform_witness"
+        note = f"tail sum stays at or above eps at stage {witness[1]} under {witness[0]!r}"
+    elif all(row[n_max].certainly_le(eps) for row in rows):
+        verdict = "decays"
+        note = (
+            "every explored tail sum is certified below eps at the deepest stage; "
+            "this supports but cannot prove uniformity beyond the explored family"
         )
-    if all(row[n_max].certainly_le(eps) for row in rows):
-        return AbsorptionReport(
-            float(eps), n_max, tuple(names), tuple(times), tuple(rows), tuple(sup_row),
-            "decays", None,
-            note="every explored tail sum is certified below eps at the deepest stage; "
-            "this supports but cannot prove uniformity beyond the explored family",
-        )
+    else:
+        verdict = "inconclusive"
+        note = "neither a certified witness nor certified decay at the deepest stage"
     return AbsorptionReport(
         float(eps), n_max, tuple(names), tuple(times), tuple(rows), tuple(sup_row),
-        "inconclusive", None,
-        note="neither a certified witness nor certified decay at the deepest stage",
+        verdict, witness, note=note,
     )

@@ -162,6 +162,20 @@ def resolve_rule(model: MdpModel, part: StatePart) -> KernelRule | str:
 # -- validation ------------------------------------------------------------
 
 
+def _negative(p: Number) -> bool:
+    """Whether p is negative: exactly, or by more than its err."""
+    return p.value < 0 if p.is_exact else float(p.value) < -float(p.err)
+
+
+def _unit_diag(total: Number, where: str, what: str, diags: list) -> None:
+    """Flag a total that is not 1: exactly, or beyond 1e-9 when inexact."""
+    if total.is_exact:
+        if total != ONE:
+            diags.append(f"{where}: {what} {total.value}, not 1")
+    elif not total.within(1, 1e-9):
+        diags.append(f"{where}: {what} {float(total.value)}, not 1")
+
+
 def validate_model(model: MdpModel) -> list[str]:
     """Structural diagnostics; an empty list means the model is well formed."""
     diags: list[str] = []
@@ -187,20 +201,13 @@ def validate_model(model: MdpModel) -> list[str]:
         if isinstance(actions, FiniteActions) and act not in actions.names:
             diags.append(f"{where}: unknown action")
         total = ZERO
-        exact = True
         for nxt, p in row:
             if nxt not in atom_names:
                 diags.append(f"{where}: unknown target atom {nxt!r}")
-            if not p.is_exact:
-                exact = False
-            if p.is_exact and p.value < 0:
+            if _negative(p):
                 diags.append(f"{where}: negative probability on {nxt!r}")
             total = total + p
-        if exact:
-            if total != ONE:
-                diags.append(f"{where}: probabilities sum to {total.value}, not 1")
-        elif not total.within(1, 1e-9):
-            diags.append(f"{where}: probabilities sum to {float(total.value)}, not 1")
+        _unit_diag(total, where, "probabilities sum to", diags)
 
     for i, rule in enumerate(kernel.rules):
         where = f"rule[{i}]"
@@ -228,7 +235,7 @@ def validate_model(model: MdpModel) -> list[str]:
             for name, p in rule.atom_probs:
                 if name not in atom_names:
                     diags.append(f"{where}: unknown target atom {name!r}")
-                if p.is_exact and p.value < 0:
+                if _negative(p):
                     diags.append(f"{where}: negative probability on {name!r}")
             for label, breaks, heights in rule.pieces:
                 if label not in segment_labels:
@@ -237,12 +244,7 @@ def validate_model(model: MdpModel) -> list[str]:
                     seg = space.segment_decl(label)
                     if breaks[0] < seg.lo or breaks[-1] > seg.hi:
                         diags.append(f"{where}: density support escapes segment {label!r}")
-            total = rule.target_mass()
-            if total.is_exact:
-                if total != ONE:
-                    diags.append(f"{where}: target masses sum to {total.value}, not 1")
-            elif not total.within(1, 1e-9):
-                diags.append(f"{where}: target masses sum to {float(total.value)}, not 1")
+            _unit_diag(rule.target_mass(), where, "target masses sum to", diags)
 
     # coverage and overlap
     tabled = {key[0] for key in rows}
@@ -501,12 +503,7 @@ def validate_strategy(model: MdpModel, strategy: Strategy) -> list[str]:
                 for a in rule.actions:
                     _action_value_diags(model, a, where, diags)
                 continue
-            m = rule.dist.mass()
-            if m.is_exact:
-                if m != ONE:
-                    diags.append(f"{where}: action mass {m.value}, not 1")
-            elif not m.within(1, 1e-9):
-                diags.append(f"{where}: action mass {float(m.value)}, not 1")
+            _unit_diag(rule.dist.mass(), where, "action mass", diags)
             _action_part_diags(model, rule.dist, where, diags)
     return diags
 

@@ -24,15 +24,17 @@ component's share is one of three kinds:
   function whose polynomials and action values there are exact: its cells
   join the groups of one (segment, action), or of one segment for a
   state-only function, and each group is integrated against each
-  polynomial piece at once, its moments summed as integers over common
-  denominators.  The coverage and range checks run, and raise, where the
-  per-component route would;
+  polynomial piece at once, each of its moments one more integer pair.
+  The coverage and range checks run, and raise, where the per-component
+  route would;
 * anything else: the per-component route, `_component_integral`.
 
-While every share is exact, the shares are summed once at the end.  At the
-first inexact share the exact sum so far becomes one Number, and every
-later share is added to it as a Number, in order, so that float results
-keep the bits, and errors the order, of the plain loop over components.
+While every share is exact, the shares and the cell moments are summed
+once at the end, by `_exact_sum`, the one place where exact shares meet.
+At the first inexact share the exact sum so far becomes one Number, and
+every later share is added to it as a Number, in order, so that float
+results keep the bits, and errors the order, of the plain loop over
+components.
 No function value is evaluated twice.
 
 Each component gets tol / (number of components).  A quadrature whose
@@ -44,7 +46,8 @@ The grouping depends on the measure alone: which components are exact
 state densities, and their cells by group as integers over per-group
 denominators, are tabled once per (measure, arity) (`_CellTable`).  Each
 pass then runs the function's checks on each tabled component as it
-reaches it, and sums the cells of the components it took (`_CellPass`).
+reaches it, and adds the moments of the cells of the components it took
+to the exact sum (`_CellPass`).
 
 `integrate` keeps each result under (function, tolerance) for as long as
 the measure lives (`memo.remembered`, owned by the measure): a second call
@@ -689,9 +692,9 @@ def _integral(mu: HybridMeasure, g: TestFunction, tol: float) -> Number:
             continue
         rest = comps[i + 1 :]
         break
-    total = _exact_sum(terms)
     if cells is not None:
-        total += cells.total()
+        cells.shares(terms)
+    total = _exact_sum(terms)
     if rest is None:
         return Number(total)
     total = Number(total) + r
@@ -811,9 +814,11 @@ class _CellPass:
     """The function side of the grouped pass: `take(i)` tells whether the
     tabled component i goes to the grouped sum, after the coverage and range
     checks of `_component_integral`, run in its order and raising its
-    errors; `total()` integrates the cells of the components taken, each
-    group against each term's polynomial at once (`_cells_integral`), times
-    the term's action factor."""
+    errors; `shares(terms)` integrates the cells of the components taken,
+    each group against each term's polynomial at once (`_cells_integral`),
+    times the term's action factor, and appends each moment to the
+    (numerator, denominator) pairs that `_exact_sum` adds up with the
+    other exact shares."""
 
     def __init__(self, mu: HybridMeasure, g: TestFunction):
         self.mu = mu
@@ -874,33 +879,34 @@ class _CellPass:
             self.known[key] = ok
         return ok
 
-    def total(self) -> Fraction:
+    def shares(self, terms: list) -> None:
+        """Append to terms, as (numerator, denominator) pairs, the moments
+        of the cells of the components taken."""
         if not self.taken:
-            return Fraction(0)
+            return
         groups = self.table.groups
         if len(self.taken) < len(self.table.rows):
             keep = set(self.taken)
             groups = {key: (d, q, [c for c in cells if c[0] in keep]) for key, (d, q, cells) in groups.items()}
-        total = Fraction(0)
         for t in range(len(self.terms)):
             for key, (d, q, cells) in groups.items():
                 if not cells:
                     continue
                 if not self.joint:
-                    total += _cells_integral(self.polys[t][key][0], d, q, cells)
+                    _cells_integral(self.polys[t][key][0], d, q, cells, 1, terms)
                 elif v := self.factors[t][key[1]]:
-                    total += v * _cells_integral(self.polys[t][key[0]][0], d, q, cells)
-        return total
+                    _cells_integral(self.polys[t][key[0]][0], d, q, cells, v, terms)
 
 
-def _cells_integral(poly: PiecewisePoly, d: int, q: int, cells) -> Fraction:
-    """Σ (p/q)·∫ poly over [a/d, b/d] for the cells (i, p, a, b), all inside
-    the polynomial's range.
+def _cells_integral(poly: PiecewisePoly, d: int, q: int, cells, v, terms: list) -> None:
+    """Append to terms v·(p/q)·∫ poly over [a/d, b/d] for the cells
+    (i, p, a, b), all inside the polynomial's range, as (numerator,
+    denominator) pairs.
 
     The cell ends and the breaks are brought to one common denominator D, so
     the power-m moment of a piece, Σ p·(b^m − a^m) over its cells, is over
     q·D^m.  A cell that straddles a break is split there, the sums run over
-    Python ints, and one Fraction is built per (piece, power).
+    Python ints, and one pair is appended per (piece, power).
     """
     D = math.lcm(d, *{x.denominator for x in poly.breaks})
     up = D // d
@@ -917,15 +923,14 @@ def _cells_integral(poly: PiecewisePoly, d: int, q: int, cells) -> Fraction:
                 a = cuts[i + 1]
                 i += 1
             pieces[i].append((p, a, b))
-    total = Fraction(0)
+    vn, vd = v.numerator, v.denominator
     for row, piece in zip(poly.coeffs, pieces):
         if piece:
             for j, coeff in enumerate(row):
                 if coeff:
                     m = j + 1
                     moment = sum(p * (b**m - a**m) for p, a, b in piece)
-                    total += coeff * Fraction(moment, m * q * D**m)
-    return total
+                    terms.append((vn * coeff.numerator * moment, vd * coeff.denominator * m * q * D**m))
 
 
 def _component_integral(c: MeasureComponent, g: TestFunction, tol: float) -> Number:

@@ -199,29 +199,25 @@ def check_convergence(
         )
 
     bad = [t for t in traces if not t.converged]
-    if not bad:
-        return ConvergenceReport(
-            battery.name, battery.mode, tol, "converges", None, None, tuple(traces)
-        )
-
-    def strength(t: FunctionTrace):
-        return min(float(g.value) for g in t.gaps[start:])
-
-    pool = [t for t in bad if t.persistent] or bad
-    witness = max(pool, key=strength)
+    name = gap = None
     note = ""
-    if not witness.persistent:
-        note = (
-            "no gap stayed certified above 10*tol through the final third; "
-            "the divergence verdict is tolerance-sensitive"
-        )
+    if bad:
+        pool = [t for t in bad if t.persistent] or bad
+        witness = max(pool, key=lambda t: min(float(g.value) for g in t.gaps[start:]))
+        name = witness.name
+        gap = min(witness.gaps[start:], key=lambda g: g.value)
+        if not witness.persistent:
+            note = (
+                "no gap stayed certified above 10*tol through the final third; "
+                "the divergence verdict is tolerance-sensitive"
+            )
     return ConvergenceReport(
         battery.name,
         battery.mode,
         tol,
-        "diverges",
-        witness.name,
-        min(witness.gaps[start:], key=lambda g: g.value),
+        "diverges" if bad else "converges",
+        name,
+        gap,
         tuple(traces),
         note=note,
     )
@@ -250,7 +246,10 @@ def determinism_defect(mu: HybridMeasure) -> Number:
     """How far a measure on state x action is from having a deterministic
     action disintegration: the integral of (total action mass minus the
     largest single-action mass) over a common refinement of the state cells.
-    Zero iff one action carries all the mass on every cell."""
+    Zero iff one action carries all the mass on every cell.  The cells of a
+    segment are found by index on one integer grid, floats taken as the
+    binary rationals they are, so a cell one ulp wide counts like any
+    other."""
     if not isinstance(mu.domain.actions, FiniteActions):
         raise MeasureError("determinism defect needs a finite action space")
 
@@ -281,30 +280,24 @@ def determinism_defect(mu: HybridMeasure) -> Number:
         defect = defect + (total - top)
 
     for pieces in seg_pieces.values():
-        ends = [breaks for breaks, _, _, _ in pieces]
-        d = None
-        if all(isinstance(b, (int, Fraction)) for breaks in ends for b in breaks):
-            # exact cuts are sorted and indexed as integers over their
-            # common denominator d; a cell is [cuts[j], cuts[j + 1])
-            d = math.lcm(*{b.denominator for breaks in ends for b in breaks})
-            ends = [[b.numerator * (d // b.denominator) for b in breaks] for breaks in ends]
-            cuts = sorted({n for breaks in ends for n in breaks})
-            pos = {n: i for i, n in enumerate(cuts)}
-        else:
-            cuts = sorted({b for breaks in ends for b in breaks})
-            # A cell [lo, hi) of the common refinement belongs to the piece
-            # interval [a, b) that holds its midpoint lo + (hi - lo) / 2.
-            # pos[c] is the first cell whose midpoint is >= the cut c, so
-            # [a, b) holds cells[pos[a]:pos[b]].  That first cell is c's own,
-            # unless the cell below c has a float midpoint that rounds up
-            # onto c.
-            pos = {c: i for i, c in enumerate(cuts)}
-            for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-                if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)) and lo + (hi - lo) / 2 >= hi:
-                    pos[hi] = j
+        # Every cut, float or exact, is a rational n/m (a float a binary
+        # one), so on the grid of 1/d, d the lcm of the m, each is the
+        # integer n·d/m.  A cell of the common refinement is [cuts[j],
+        # cuts[j + 1]), and the piece interval [a, b) holds the cells from
+        # a's index to b's.  `value` maps each point to the first cut seen
+        # there, which is written last in reversed order.
+        ratios = [[b.as_integer_ratio() for b in breaks] for breaks, _, _, _ in pieces]
+        d = math.lcm(*{m for r in ratios for _, m in r})
+        ends = [[n * (d // m) for n, m in r] for r in ratios]
+        value = dict(zip(
+            reversed([n for grid in ends for n in grid]),
+            reversed([b for breaks, _, _, _ in pieces for b in breaks]),
+        ))
+        cuts = sorted(value)
+        pos = {n: i for i, n in enumerate(cuts)}
         cells = [{} for _ in cuts[1:]]
-        for breaks, (_, heights, action, weight) in zip(ends, pieces):
-            for a, b, h in zip(breaks, breaks[1:], heights):
+        for grid, (_, heights, action, weight) in zip(ends, pieces):
+            for a, b, h in zip(grid, grid[1:], heights):
                 mass = weight * h
                 for per_action in cells[pos[a]:pos[b]]:
                     per_action[action] = per_action.get(action, ZERO) + mass
@@ -313,9 +306,10 @@ def determinism_defect(mu: HybridMeasure) -> Number:
                 continue
             total = nsum(per_action.values())
             top = max(per_action.values(), key=lambda v: v.value)
-            if d is not None:
-                length = Number(Fraction(hi - lo, d))
+            a, b = value[lo], value[hi]
+            if isinstance(a, float) or isinstance(b, float):
+                length = Number.approx(b - a, 0.0)
             else:
-                length = Number.lift(hi - lo) if not isinstance(hi - lo, float) else Number.approx(hi - lo, 0.0)
+                length = Number(Fraction(hi - lo, d))
             defect = defect + (total - top) * length
     return defect

@@ -52,6 +52,26 @@ def module_command():
     return [sys.executable, "-m", "absorbing_mdp"], env
 
 
+def negative_float_model(rule: bool = False) -> MdpModel:
+    """s -a-> t 1.5, Delta -0.5 in float probabilities: the row sums to 1,
+    but it is no distribution.  With rule=True the same jump is a diffuse
+    rule from s."""
+    space = StateSpace(atoms=(AtomDecl("s"), AtomDecl("t"), AtomDecl("Delta")))
+    jump = (("t", Number.approx(1.5)), ("Delta", Number.approx(-0.5)))
+    rows = [(("t", "a"), (("Delta", ONE),)), (("Delta", "a"), (("Delta", ONE),))]
+    rules = ()
+    if rule:
+        rules = (FixedDiffuse(FromRegion(atoms=("s",)), atom_probs=jump),)
+    else:
+        rows.append((("s", "a"), jump))
+    return MdpModel(
+        name="negative",
+        states=space,
+        actions=FiniteActions(("a",)),
+        kernel=TransitionKernel(rows=tuple(rows), rules=rules),
+    )
+
+
 def chain_model() -> MdpModel:
     """A -> B -> Delta with a stalling branch at both states.
 

@@ -26,7 +26,7 @@ from absorbing_mdp.cli import main
 from absorbing_mdp.numbers import DigitLimitError
 from absorbing_mdp.serialize import model_to_dict, save_json
 
-from conftest import REFUSALS, chain_model, module_command, refusal_case
+from conftest import REFUSALS, chain_model, module_command, negative_float_model, refusal_case
 
 
 def run(capsys, *argv):
@@ -495,6 +495,15 @@ def test_model_diagnostics_end_the_analysis(tmp_path, capsys):
         "model diagnostics:\n"
         "  frontier: the cemetery 'Delta' is absorbing and cannot be a frontier atom\n"
     )
+
+
+def test_negative_float_probability_ends_the_analysis(tmp_path, capsys):
+    model = negative_float_model()
+    path = tmp_path / "negative.json"
+    save_json(str(path), model_to_dict(model, {"go": deterministic_stationary(default="a")}))
+    rc, out, err = run(capsys, "occupation", "--model", str(path), "--strategy", "go", "--x0", "s")
+    assert (rc, out) == (1, "")
+    assert err == "model diagnostics:\n  row ('s', 'a'): negative probability on 'Delta'\n"
 
 
 @pytest.mark.parametrize("cause", sorted(REFUSALS))

@@ -1,9 +1,13 @@
-"""`determinism_defect` against the midpoint scan it replaced.
+"""`determinism_defect` against two quadratic scans.
 
-The oracle below is the former quadratic implementation: for every cell of
-the common refinement it scans every piece and keeps the sub-intervals that
-hold the cell's midpoint.  The library's single pass must give the same
-exact value, and on float inputs the same value and err bit for bit.
+Both scans visit every cell [lo, hi) of the common refinement and every
+piece sub-interval [a, b).  The containment scan gives the cell to the
+pieces that contain it, a <= lo and hi <= b; the library's single pass must
+give the same exact value, and on float inputs the same value and err bit
+for bit, on every draw.  The midpoint scan, the library's former
+implementation, gives the cell to the pieces that hold its midpoint
+lo + (hi - lo) / 2.  It must still agree wherever that float midpoint lies
+inside the cell; on a cell one ulp wide it can round onto hi.
 """
 
 import math
@@ -39,7 +43,9 @@ SPACE = StateSpace(
 DOMAIN = Domain(SPACE, FiniteActions(ACTIONS))
 
 
-def midpoint_scan_defect(mu: HybridMeasure) -> Number:
+def scan_defect(mu: HybridMeasure, holds) -> Number:
+    """The defect with cell [lo, hi) given to piece [a, b) where
+    holds(lo, hi, a, b)."""
     atom_cells: dict = {}
     seg_pieces: dict = {}
     for c in mu.components:
@@ -63,13 +69,11 @@ def midpoint_scan_defect(mu: HybridMeasure) -> Number:
         defect = defect + (total - top)
 
     for pieces in seg_pieces.values():
-        cuts = sorted({b for breaks, _, _, _ in pieces for b in breaks})
-        for lo, hi in zip(cuts, cuts[1:]):
-            mid = lo + (hi - lo) / 2
+        for lo, hi in _cells(breaks for breaks, _, _, _ in pieces):
             per_action: dict = {}
             for breaks, heights, action, weight in pieces:
                 for a, b, h in zip(breaks, breaks[1:], heights):
-                    if a <= mid < b:
+                    if holds(lo, hi, a, b):
                         per_action[action] = per_action.get(action, ZERO) + weight * h
             if not per_action:
                 continue
@@ -78,6 +82,30 @@ def midpoint_scan_defect(mu: HybridMeasure) -> Number:
             length = Number.lift(hi - lo) if not isinstance(hi - lo, float) else Number.approx(hi - lo, 0.0)
             defect = defect + (total - top) * length
     return defect
+
+
+def _cells(all_breaks):
+    """The cells (lo, hi) of the common refinement, each end the first cut
+    seen at its point."""
+    cuts = sorted({b for breaks in all_breaks for b in breaks})
+    return zip(cuts, cuts[1:])
+
+
+def containment_scan_defect(mu: HybridMeasure) -> Number:
+    return scan_defect(mu, lambda lo, hi, a, b: a <= lo and hi <= b)
+
+
+def midpoint_scan_defect(mu: HybridMeasure) -> Number:
+    return scan_defect(mu, lambda lo, hi, a, b: a <= lo + (hi - lo) / 2 < b)
+
+
+def has_midpoint_on_hi(mu: HybridMeasure) -> bool:
+    """Whether some cell's float midpoint rounds onto the cell's upper end."""
+    by_segment: dict = {}
+    for c in mu.components:
+        if isinstance(c.state, StateDensity):
+            by_segment.setdefault(c.state.segment, []).append(c.state.breaks)
+    return any(lo + (hi - lo) / 2 >= hi for breaks in by_segment.values() for lo, hi in _cells(breaks))
 
 
 def assert_same(got: Number, want: Number):
@@ -154,15 +182,15 @@ def measures(draw):
 
 def _ulp_cell_measure():
     # 0.3 has an odd last mantissa bit, so the midpoint of the one-ulp cell
-    # [0.3, next(0.3)) rounds onto next(0.3).  The scan then gives that cell
-    # to the piece starting there, which plays "a" only, and never sees the
-    # two actions the cell's own pieces play.
+    # [0.3, next(0.3)) rounds onto next(0.3).  The midpoint scan then gives
+    # that cell to the piece starting there, which plays "a" only, and never
+    # sees the two actions the cell's own pieces play.
     lo = 0.3
     hi = math.nextafter(lo, 1.0)
     assert lo + (hi - lo) / 2 == hi
     one = Number.approx(1.0)
     cell = StateDensity("s", (lo, hi), (one,))
-    return HybridMeasure(
+    mu = HybridMeasure(
         DOMAIN,
         (
             MeasureComponent(cell, ActionAtom("a"), one),
@@ -170,15 +198,42 @@ def _ulp_cell_measure():
             MeasureComponent(StateDensity("s", (hi, 1.0), (one,)), ActionAtom("a"), one),
         ),
     )
+    return mu, lo, hi
 
 
 @settings(max_examples=200, deadline=None)
 @given(measures())
-def test_defect_matches_the_midpoint_scan(mu):
-    assert_same(determinism_defect(mu), midpoint_scan_defect(mu))
+def test_defect_matches_the_containment_and_midpoint_scans(mu):
+    got = determinism_defect(mu)
+    assert_same(got, containment_scan_defect(mu))
+    if not has_midpoint_on_hi(mu):
+        assert_same(got, midpoint_scan_defect(mu))
 
 
-def test_ulp_wide_cell_follows_the_rounded_midpoint():
-    mu = _ulp_cell_measure()
-    assert determinism_defect(mu).value == 0.0
-    assert_same(determinism_defect(mu), midpoint_scan_defect(mu))
+def test_ulp_wide_cell_counts_both_actions():
+    mu, lo, hi = _ulp_cell_measure()
+    assert has_midpoint_on_hi(mu)
+    # one unit of "a" and one of "b" on the cell: the defect is its length
+    assert determinism_defect(mu).value == hi - lo
+    assert_same(determinism_defect(mu), containment_scan_defect(mu))
+    assert midpoint_scan_defect(mu).value == 0.0
+
+
+def test_where_a_float_and_an_exact_cut_coincide_the_first_seen_sets_the_length():
+    # "a" and "b" both carry exact mass 1 on [1/2, 1); the cell's length is
+    # exact when its ends were first seen as Fractions, a float otherwise
+    one = Number(Fraction(1))
+    exact = StateDensity("s", (Fraction(0), Fraction(1, 2), Fraction(1)), (one, one))
+    floats = StateDensity("s", (0.5, 1.0), (one,))
+    for first, second, want_exact in ((exact, floats, True), (floats, exact, False)):
+        mu = HybridMeasure(
+            DOMAIN,
+            (
+                MeasureComponent(first, ActionAtom("a" if first is exact else "b"), one),
+                MeasureComponent(second, ActionAtom("a" if second is exact else "b"), one),
+            ),
+        )
+        got = determinism_defect(mu)
+        assert got.is_exact == want_exact
+        assert got.value == Fraction(1, 2)
+        assert_same(got, containment_scan_defect(mu))

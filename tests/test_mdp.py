@@ -35,7 +35,7 @@ from absorbing_mdp import (
 )
 from absorbing_mdp.zoo import example1
 
-from conftest import chain_model, ladder_model
+from conftest import chain_model, ladder_model, negative_float_model
 
 F = Fraction
 HALF = Number.exact(1, 2)
@@ -77,6 +77,30 @@ def test_row_mass_must_be_one():
         )
     )
     assert any("mass" in d or "sum" in d for d in validate_model(m))
+
+
+@pytest.mark.parametrize("rule, where", [(False, "row ('s', 'a')"), (True, "rule[0]")], ids=["row", "rule"])
+def test_negative_float_probability_is_reported(rule, where):
+    # only exact probabilities were checked for sign, so this model drew no
+    # diagnostic and occupation_countable reported a mean time of 2.5
+    m = negative_float_model(rule)
+    assert validate_model(m) == [f"{where}: negative probability on 'Delta'"]
+
+
+def test_float_probability_within_its_err_of_zero_is_not_negative():
+    space = StateSpace(atoms=(AtomDecl("s"), AtomDecl("Delta")))
+    m = MdpModel(
+        name="tiny",
+        states=space,
+        actions=FiniteActions(("a",)),
+        kernel=TransitionKernel(
+            rows=(
+                (("s", "a"), (("Delta", Number.approx(1.0)), ("s", Number.approx(-1e-12, 1e-12)))),
+                (("Delta", "a"), (("Delta", ONE),)),
+            )
+        ),
+    )
+    assert validate_model(m) == []
 
 
 def test_missing_row_is_reported():
