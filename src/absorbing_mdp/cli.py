@@ -28,7 +28,7 @@ from functools import partial
 
 from .numbers import DigitLimitError, Number, format_number, parse_number
 from .measure import CoverageError, IntegrationError, MeasureError
-from .mdp import ModelError, validate_model
+from .mdp import ModelError, validate_model, validate_strategy
 from .occupation import (
     SolverError,
     Truncation,
@@ -120,6 +120,15 @@ def _resolve_strategy(strategies, families, name: str):
                 )
             return fam.generator(int(idx))
     return _lookup(strategies, "strategy", name)
+
+
+def _checked(model, name: str, strategy):
+    """`strategy`, refused as bad input, one line per diagnostic, when
+    `validate_strategy` finds fault with it."""
+    diags = validate_strategy(model, strategy)
+    if diags:
+        raise CliInputError("\n".join(f"strategy {name!r}: {d}" for d in diags))
+    return strategy
 
 
 def _positive_number(text: str) -> Fraction:
@@ -254,7 +263,7 @@ def cmd_occupation(args) -> int:
         for d in diags:
             print(f"  {d}", file=sys.stderr)
         return 1
-    strategy = _resolve_strategy(strategies, families, args.strategy)
+    strategy = _checked(model, args.strategy, _resolve_strategy(strategies, families, args.strategy))
     if args.x0:
         x0 = _parse_x0(model.states, args.x0)
     elif default_x0 is not None:
@@ -361,7 +370,8 @@ def cmd_convergence(args) -> int:
         raise CliInputError("convergence checks need a built-in instance (--zoo)")
     battery = _lookup(batteries, "battery", args.battery)
     family = _lookup(families, "family", args.family)
-    limit_strategy = _resolve_strategy(strategies, families, args.limit)
+    limit_strategy = _checked(model, args.limit, _resolve_strategy(strategies, families, args.limit))
+    members = [_checked(model, name, s) for name, s in family.explored()]
     x0 = _parse_x0(model.states, args.x0) if args.x0 else default_x0
 
     def occupy(strategy):
@@ -374,7 +384,7 @@ def cmd_convergence(args) -> int:
                 "the countable solver refused this instance; rerun with --horizon N"
             )
 
-    seq = [occupy(s) for _, s in family.explored()]
+    seq = [occupy(s) for s in members]
     rep = check_convergence(seq, occupy(limit_strategy), battery, tol=args.tol)
     num = partial(_fmt_num, as_float=args.float)
     rows = [["function", "limit value", "final gap", "converged", "persistent"]] + [
@@ -492,7 +502,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for line in str(exc).splitlines():
+            print(f"error: {line}", file=sys.stderr)
         return 2
     except CoverageError as exc:
         # a KeyError subclass, but a failed analysis rather than bad input

@@ -238,6 +238,8 @@ def validate_model(model: MdpModel) -> list[str]:
                 if _negative(p):
                     diags.append(f"{where}: negative probability on {name!r}")
             for label, breaks, heights in rule.pieces:
+                if any(map(_negative, heights)):
+                    diags.append(f"{where}: negative probability on {label!r}")
                 if label not in segment_labels:
                     diags.append(f"{where}: unknown target segment {label!r}")
                 else:
@@ -385,6 +387,13 @@ class SegmentSelector:
             if not a < b:
                 raise ModelError("selector breaks must increase strictly")
 
+    @cached_property
+    def _cell_atoms(self) -> tuple:
+        """The ActionAtom of each cell, one object per action, so that the
+        cells a split makes share it."""
+        one = {a: ActionAtom(a) for a in self.actions}
+        return tuple(one[a] for a in self.actions)
+
     def action_at(self, coord):
         i = bisect.bisect_right(self.breaks, coord) - 1
         i = min(max(i, 0), len(self.actions) - 1)
@@ -425,12 +434,12 @@ def _selector_split(sel: SegmentSelector, density: StateDensity):
     selector cell, clamped at the ends as `action_at` clamps.  One pass
     over both break lists, merged by comparison: a cell is never located
     by a computed point, so a float cell one ulp wide keeps its own piece."""
-    ys, top = sel.breaks, len(sel.actions) - 1
+    ys, atoms, top = sel.breaks, sel._cell_atoms, len(sel.actions) - 1
     lo = density.breaks[0]
     k = bisect.bisect_right(ys, lo)  # the selector breaks at or below lo
 
     def atom(k):  # the action of the selector cell that ends at ys[k]
-        return ActionAtom(sel.actions[min(max(k - 1, 0), top)])
+        return atoms[min(max(k - 1, 0), top)]
 
     cells = []
     for hi, h in zip(density.breaks[1:], density.heights):

@@ -57,6 +57,15 @@ way, under the arity.  The memo keeps neither the function nor anything
 the function refers to alive, and nothing is stored on the measure
 itself.  Errors are not kept: a call that raised raises again on every
 call.
+
+The joint cell table is the one integer form of a measure's exact cells:
+`integrate`, `HybridMeasure.total_mass` and `topology.determinism_defect`
+all read it.
+
+A measure the user builds is checked component by component
+(`HybridMeasure.__post_init__`).  The cells `occupation_unroll` cuts from
+a checked density, and the measure it merges them into, are built by
+`_trusted`, which skips the checks.
 """
 
 from __future__ import annotations
@@ -233,10 +242,46 @@ class HybridMeasure:
 
     def __post_init__(self):
         for c in self.components:
-            _validate_component(self.domain, c)
+            _validate_weight(c.weight, "component")
+            _validate_state(self.domain.states, c.state)
+            _validate_action(self.domain.actions, c.action)
 
     def total_mass(self) -> Number:
-        return nsum(c.mass() for c in self.components)
+        """Σ c.mass().  With a state density and every weight exact, the
+        cells of the joint cell table (`_CellTable`) are summed as integers,
+        Σ p·(b − a) over q·d per group, with the other components' exact
+        masses, by `_exact_sum`; with any inexact component, in order by
+        `nsum`, so that float results keep their bits."""
+        comps = self.components
+        if not (
+            any(type(c.state) is StateDensity for c in comps)
+            and all(type(c.weight.value) is Fraction for c in comps)
+        ):
+            return nsum(c.mass() for c in comps)
+        table = _cell_table(self, True)
+        terms = []
+        for i, c in enumerate(comps):
+            if i not in table.rows:
+                m = c.mass().value
+                if type(m) is not Fraction:
+                    return nsum(c.mass() for c in comps)
+                terms.append((m.numerator, m.denominator))
+        for d, q, cells in table.groups.values():
+            terms.append((sum(p * (b - a) for _, p, a, b in cells), q * d))
+        return Number(_exact_sum(terms))
+
+
+_new = object.__new__
+
+
+def _trusted(cls, **fields):
+    """Trusted constructor of the frozen dataclass `cls`, for parts the
+    library derives from parts already checked: it skips `__post_init__`,
+    as `spaces._segment_point` does.  The object compares and hashes equal
+    to `cls(**fields)`."""
+    obj = _new(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _validate_weight(w: Number, where: str):
@@ -249,10 +294,7 @@ def _validate_weight(w: Number, where: str):
         raise MeasureError(f"{where}: negative weight")
 
 
-def _validate_component(domain: Domain, c: MeasureComponent):
-    _validate_weight(c.weight, "component")
-    space = domain.states
-    s = c.state
+def _validate_state(space: StateSpace, s: StatePart):
     if isinstance(s, StateAtom):
         p = s.point
         if p.atom is not None:
@@ -267,18 +309,20 @@ def _validate_component(domain: Domain, c: MeasureComponent):
             raise MeasureError(f"density support outside segment {s.segment!r}")
     else:
         raise MeasureError(f"bad state part {s!r}")
-    a = c.action
+
+
+def _validate_action(actions: ActionSpace, a: ActionPart | None):
     if a is None:
         return
     parts = a.parts if isinstance(a, ActionMixture) else ((ONE, a),)
     for w, part in parts:
         _validate_weight(w, "mixture part")
         if isinstance(part, ActionAtom):
-            _validate_action_value(domain.actions, part.action)
+            _validate_action_value(actions, part.action)
         elif isinstance(part, ActionDensity):
-            if not isinstance(domain.actions, IntervalActions):
+            if not isinstance(actions, IntervalActions):
                 raise MeasureError("action densities need an interval action space")
-            if not (domain.actions.lo <= part.breaks[0] and part.breaks[-1] <= domain.actions.hi):
+            if not (actions.lo <= part.breaks[0] and part.breaks[-1] <= actions.hi):
                 raise MeasureError("action density support outside the action interval")
 
 
@@ -764,6 +808,8 @@ class _CellTable:
     which components are exact state densities (weight, heights, breaks,
     action atoms and mixture weights rational), and their cells, grouped by
     (segment, action) for a joint g and by segment for a state-only one.
+    The joint table is also the one that `HybridMeasure.total_mass` and
+    `topology.determinism_defect` read.
 
     `rows[i]` is ((segment, actions), lo, hi) for such a component i, lo
     and hi the ends of its density.  `groups[key]` is (d, q, cells): each
@@ -796,6 +842,12 @@ class _CellTable:
                 for lo, hi, h in zip(s.breaks, s.breaks[1:], s.heights):
                     cells.append((i, lo, hi, weight, h.value))
         self.groups = {key: _as_ints(cells) for key, cells in found.items()}
+
+
+def _cell_table(mu: HybridMeasure, joint: bool) -> _CellTable:
+    """mu's cell table for a joint or a state-only function, built once
+    while mu lives."""
+    return remembered(_TABLES, mu, (), (joint,), lambda: _CellTable(mu, joint))
 
 
 def _as_ints(cells):
@@ -832,8 +884,7 @@ class _CellPass:
 
     def take(self, i: int) -> bool:
         if self.table is None:
-            mu, joint = self.mu, self.joint
-            self.table = remembered(_TABLES, mu, (), (joint,), lambda: _CellTable(mu, joint))
+            self.table = _cell_table(self.mu, self.joint)
         row = self.table.rows.get(i)
         if row is None:
             return False

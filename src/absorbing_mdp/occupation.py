@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,6 +59,10 @@ from .measure import (
     MeasureComponent,
     StateAtom,
     StateDensity,
+    _trusted,
+    _validate_action,
+    _validate_state,
+    _validate_weight,
     pushforward_affine,
 )
 from .mdp import (
@@ -197,36 +202,57 @@ def _route(model: MdpModel, row, weight: Number | None, into: dict, frontier: Nu
 
 def _step(model: MdpModel, parts, stage, frontier: Number):
     """One forward stage: returns (joint occupation components, next parts,
-    frontier mass so far)."""
+    frontier mass so far).
+
+    The cells a density is cut into are built trusted: the cut keeps them
+    inside the density, with its heights, and the density's support is
+    checked once, where its rule is resolved.  The cells of one density
+    are routed together: with everything exact and every cell playing an
+    action atom, as the density's mass times its weight at once, which is
+    the exact sum of the cells' masses; otherwise cell by cell, in order."""
     space = model.states
     joint = []
+    blocks = []  # (state part, weight, its joint entries)
     for spart, w in parts:
         if _is_zero(w):
             continue
         if isinstance(spart, StateAtom):
-            joint.append((spart, stage.dist_at(spart.point), w))
+            cells = [(spart, stage.dist_at(spart.point), w)]
         else:
-            for breaks, heights, dist in stage.split_density(spart):
-                joint.append((StateDensity(spart.segment, tuple(breaks), tuple(heights)), dist, w))
+            cells = [
+                (_trusted(StateDensity, segment=spart.segment, breaks=tuple(b), heights=tuple(h)), dist, w)
+                for b, h, dist in stage.split_density(spart)
+            ]
+        if cells:
+            joint += cells
+            blocks.append((spart, w, cells))
 
     nxt: dict = {}  # atom name or state part -> mass, in first-reached order
-    for spart, dist, w in joint:
+    for spart, w, cells in blocks:
         rule = resolve_rule(model, spart)
-        smass = spart.mass()
+        if type(spart) is StateDensity:
+            _validate_state(space, spart)
         if rule == "table":
+            ((_, dist, _),) = cells
             for wa, row in _atom_rows(model, spart.point, _decompose_atoms(dist)):
                 frontier = _route(model, row, w * wa, nxt, frontier)
         elif isinstance(rule, ActionPushforward):
-            for part, m in pushforward_affine(
-                space, dist, segment=rule.segment, alpha=rule.alpha, beta=rule.beta
-            ):
-                nxt[part] = nxt.get(part, ZERO) + w * smass * m
+            for cell, dist, _ in cells:
+                smass = cell.mass()
+                for part, m in pushforward_affine(
+                    space, dist, segment=rule.segment, alpha=rule.alpha, beta=rule.beta
+                ):
+                    nxt[part] = nxt.get(part, ZERO) + w * smass * m
         elif isinstance(rule, FixedDiffuse):
-            mass = w * smass * dist.mass()
-            frontier = _route(model, rule.atom_probs, mass, nxt, frontier)
-            for label, breaks, heights in rule.pieces:
-                key = StateDensity(label, tuple(breaks), tuple(heights))
-                nxt[key] = nxt.get(key, ZERO) + mass
+            keys = [StateDensity(label, tuple(breaks), tuple(heights)) for label, breaks, heights in rule.pieces]
+            if _one_mass(spart, w, cells, rule, nxt, frontier):
+                masses = [w * spart.mass()]
+            else:
+                masses = [w * c.mass() * d.mass() for c, d, _ in cells]
+            for m in masses:
+                frontier = _route(model, rule.atom_probs, m, nxt, frontier)
+                for key in keys:
+                    nxt[key] = nxt.get(key, ZERO) + m
         else:
             raise ModelError(f"unhandled rule {rule!r}")
 
@@ -235,18 +261,55 @@ def _step(model: MdpModel, parts, stage, frontier: Number):
     return joint, parts, frontier
 
 
-def _merge_joint(domain: Domain, components) -> HybridMeasure:
+def _one_mass(spart, w: Number, cells, rule: FixedDiffuse, nxt: dict, frontier: Number) -> bool:
+    """Whether the cells of spart can go through the diffuse rule as one
+    mass, w times the mass of spart: that is the exact sum of their masses,
+    in any order, when the weight, the heights, every cut and probability
+    and every mass it joins are exact, and each cell plays an action atom."""
+    return (
+        all(x.is_exact for x in (w, frontier, *nxt.values()))
+        and all(p.is_exact for _, p in rule.atom_probs)
+        and all(type(dist) is ActionAtom for _, dist, _ in cells)
+        and (
+            type(spart) is StateAtom
+            or all(h.is_exact for h in spart.heights)
+            and not any(isinstance(x, float) for cell, _, _ in cells for x in cell.breaks)
+        )
+    )
+
+
+def _merge_joint(domain: Domain, components, once: set) -> HybridMeasure:
     """Components with equal (state part, action part) summed, in
-    first-seen order; each key is hashed once."""
+    first-seen order.  The cells of one density are disjoint, so a cell on
+    a segment of `once`, where one density was cut, equals no other
+    component; every other key is hashed, once.  Each component is checked
+    as `HybridMeasure` checks it, except the state of a density cell, which
+    `_step` checked, and a weight or action part already checked: the
+    cells of one density share both objects."""
     index: dict = {}
     merged: list = []
-    for s, a, w in components:
+    for c in components:
+        s, a, w = c
+        if type(s) is StateDensity and s.segment in once:
+            merged.append(c)
+            continue
         i = index.setdefault((s, a), len(merged))
         if i == len(merged):
             merged.append([s, a, w])
         else:
             merged[i][2] = merged[i][2] + w
-    return HybridMeasure(domain, tuple(MeasureComponent(s, a, w) for s, a, w in merged))
+    checked: set = set()  # ids of the weights and action parts checked
+    for s, a, w in merged:
+        if id(w) not in checked:
+            _validate_weight(w, "component")
+            checked.add(id(w))
+        if type(s) is not StateDensity:
+            _validate_state(domain.states, s)
+        if id(a) not in checked:
+            _validate_action(domain.actions, a)
+            checked.add(id(a))
+    comps = tuple(MeasureComponent(s, a, w) for s, a, w in merged)
+    return _trusted(HybridMeasure, domain=domain, components=comps)
 
 
 def occupation_unroll(
@@ -256,7 +319,9 @@ def occupation_unroll(
     parts = [(StateAtom(x0), ONE)]
     frontier = ZERO
     collected = []
+    cut = Counter()  # segment -> densities cut on it
     for t in range(horizon):
+        cut.update(s.segment for s, w in parts if type(s) is StateDensity and not _is_zero(w))
         joint, parts, frontier = _step(model, parts, strategy.stage(t), frontier)
         collected.extend(joint)
         if not _is_zero(frontier):
@@ -271,7 +336,8 @@ def occupation_unroll(
     elif not residual.certainly_le(Fraction(1, 10 ** 9)):
         raise UnrollResidualError(residual, horizon)
     domain = Domain(model.states, model.actions)
-    return OccupationResult(_merge_joint(domain, collected), ZERO, "unroll")
+    once = {label for label, n in cut.items() if n == 1}
+    return OccupationResult(_merge_joint(domain, collected, once), ZERO, "unroll")
 
 
 def _atomic_step(model: MdpModel, stage, dist, occ, frontier: Number):

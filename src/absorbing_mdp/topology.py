@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numbers import Number, ZERO, nsum
+from .numbers import Number, ONE, ZERO, nsum
 from .measure import (
     ActionAtom,
     ActionMixture,
@@ -37,6 +37,7 @@ from .measure import (
     StateAtom,
     StateDensity,
     TestFunction,
+    _cell_table,
     integrate,
     marginal_state,
 )
@@ -249,29 +250,28 @@ def determinism_defect(mu: HybridMeasure) -> Number:
     Zero iff one action carries all the mass on every cell.  The cells of a
     segment are found by index on one integer grid, floats taken as the
     binary rationals they are, so a cell one ulp wide counts like any
-    other."""
+    other.  While the sum is exact, a segment whose components are all in
+    the measure's joint cell table is summed from the table, as integers
+    (`_tabled_defect`)."""
     if not isinstance(mu.domain.actions, FiniteActions):
         raise MeasureError("determinism defect needs a finite action space")
 
     atom_cells: dict = {}
-    seg_pieces: dict = {}
-    for c in mu.components:
+    seg_comps: dict = {}  # segment -> (index, component, its action parts)
+    for i, c in enumerate(mu.components):
         if c.action is None:
             raise MeasureError("determinism defect needs action information")
         parts = (
-            c.action.parts if isinstance(c.action, ActionMixture) else ((Number.lift(1), c.action),)
+            c.action.parts if isinstance(c.action, ActionMixture) else ((ONE, c.action),)
         )
-        for w, part in parts:
-            if not isinstance(part, ActionAtom):
-                raise MeasureError("finite-action measures must mix atoms only")
-            weight = c.weight * w
-            if isinstance(c.state, StateAtom):
-                cell = atom_cells.setdefault(c.state.point, {})
-                cell[part.action] = cell.get(part.action, ZERO) + weight
-            else:
-                seg_pieces.setdefault(c.state.segment, []).append(
-                    (c.state.breaks, c.state.heights, part.action, weight)
-                )
+        if not all(isinstance(part, ActionAtom) for _, part in parts):
+            raise MeasureError("finite-action measures must mix atoms only")
+        if isinstance(c.state, StateAtom):
+            cell = atom_cells.setdefault(c.state.point, {})
+            for w, part in parts:
+                cell[part.action] = cell.get(part.action, ZERO) + c.weight * w
+        elif parts:
+            seg_comps.setdefault(c.state.segment, []).append((i, c, parts))
 
     defect = ZERO
     for cell in atom_cells.values():
@@ -279,7 +279,16 @@ def determinism_defect(mu: HybridMeasure) -> Number:
         top = max(cell.values(), key=lambda v: v.value)
         defect = defect + (total - top)
 
-    for pieces in seg_pieces.values():
+    table = _cell_table(mu, True) if seg_comps else None
+    for segment, comps in seg_comps.items():
+        if defect.is_exact and all(i in table.rows for i, _, _ in comps):
+            defect = defect + Number(_tabled_defect(table, segment))
+            continue
+        pieces = [
+            (c.state.breaks, c.state.heights, part.action, c.weight * w)
+            for _, c, parts in comps
+            for w, part in parts
+        ]
         # Every cut, float or exact, is a rational n/m (a float a binary
         # one), so on the grid of 1/d, d the lcm of the m, each is the
         # integer n·d/m.  A cell of the common refinement is [cuts[j],
@@ -313,3 +322,26 @@ def determinism_defect(mu: HybridMeasure) -> Number:
                 length = Number(Fraction(hi - lo, d))
             defect = defect + (total - top) * length
     return defect
+
+
+def _tabled_defect(table, segment: str) -> Fraction:
+    """The defect on one segment from the groups of a joint cell table, one
+    group (d, q, cells) per action: every group on one grid, D and Q the
+    lcm of the d and of the q, each action's mass on each cell of the
+    common refinement an integer over Q, and Σ (total − top)·(hi − lo) one
+    integer over Q·D."""
+    groups = [group for (seg, _), group in table.groups.items() if seg == segment]
+    D = math.lcm(*(d for d, _, _ in groups))
+    Q = math.lcm(*(q for _, q, _ in groups))
+    cuts = sorted({x * (D // d) for d, _, cells in groups for _, _, a, b in cells for x in (a, b)})
+    pos = {x: j for j, x in enumerate(cuts)}
+    rows = []
+    for d, q, cells in groups:
+        up, scale = D // d, Q // q
+        row = [0] * (len(cuts) - 1)
+        for _, p, a, b in cells:
+            for j in range(pos[a * up], pos[b * up]):
+                row[j] += p * scale
+        rows.append(row)
+    total = sum((sum(col) - max(col)) * (hi - lo) for col, lo, hi in zip(zip(*rows), cuts, cuts[1:]))
+    return Fraction(total, Q * D)

@@ -153,14 +153,17 @@ REFUSALS = {
 }
 
 
-def refusal_case(cause: str, actions) -> tuple:
+def refusal_case(cause: str, actions, plays=("x", "y")) -> tuple:
     """(model, stage kernel) whose atom s1 shows one cause of REFUSALS; the
     cemetery jumps to itself by a diffuse rule, so the model also validates
-    with an interval action space."""
+    with an interval action space.  The rows are s1's under actions "x" and
+    "y"; the strategy plays the first of `plays`, or the second where the
+    missing row is its own."""
+    x, y = plays
     s1 = FromRegion(atoms=("s1",))
     rules = [FixedDiffuse(FromRegion(atoms=("Delta",)), atom_probs=(("Delta", ONE),))]
     rows = [(("s1", a), (("Delta", ONE),)) for a in ("x", "y")]
-    play = ActionAtom("x")
+    play = ActionAtom(x)
     if cause == "density target":
         rows = []
         rules.append(FixedDiffuse(s1, pieces=(("seg", (Fraction(0), Fraction(1)), (ONE,)),)))
@@ -169,7 +172,7 @@ def refusal_case(cause: str, actions) -> tuple:
         rules.append(ActionPushforward(s1, "seg"))
     elif cause == "missing row":
         rows = rows[:1]
-        play = ActionAtom("y")
+        play = ActionAtom(y)
     else:
         play = ActionDensity((Fraction(0), Fraction(1)), (ONE,))
     model = MdpModel(
@@ -181,7 +184,7 @@ def refusal_case(cause: str, actions) -> tuple:
         actions=actions,
         kernel=TransitionKernel(rows=tuple(rows), rules=tuple(rules)),
     )
-    stage = StageKernel((StrategyRule(dist=play, atoms=("s1",)), StrategyRule(dist=ActionAtom("x"))))
+    stage = StageKernel((StrategyRule(dist=play, atoms=("s1",)), StrategyRule(dist=ActionAtom(x))))
     return model, stage
 
 

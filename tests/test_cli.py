@@ -11,12 +11,15 @@ import pytest
 from fractions import Fraction
 
 from absorbing_mdp import (
+    ActionAtom,
     AtomDecl,
     FiniteActions,
     IntervalActions,
     MdpModel,
     Number,
+    StageKernel,
     StateSpace,
+    StrategyRule,
     TransitionKernel,
     deterministic_stationary,
     format_number,
@@ -25,8 +28,11 @@ from absorbing_mdp import (
 from absorbing_mdp.cli import main
 from absorbing_mdp.numbers import DigitLimitError
 from absorbing_mdp.serialize import model_to_dict, save_json
+from absorbing_mdp.zoo import ZOO
 
 from conftest import REFUSALS, chain_model, module_command, negative_float_model, refusal_case
+
+F = Fraction
 
 
 def run(capsys, *argv):
@@ -436,6 +442,39 @@ def test_model_document_of_the_wrong_shape_is_input_error(tmp_path, text, messag
     )
 
 
+def test_strategy_naming_an_unknown_action_is_input_error(tmp_path):
+    # the strategy went unchecked: the analysis failed, exit 1, with
+    # "no kernel row for ('b1', '9')"
+    path = tmp_path / "model.json"
+    save_json(str(path), model_to_dict(ZOO["example2"]().model, {"br": deterministic_stationary(default="9")}))
+    assert_input_error(
+        ["occupation", "--model", str(path), "--strategy", "br", "--x0", "b1"],
+        "strategy 'br': stage[0].rule[0]: unknown action '9'",
+    )
+
+
+def test_convergence_checks_the_limit_and_every_member(capsys, monkeypatch):
+    entry = ZOO["example1"]()
+    # two faults: one error line each
+    bad = markov_sequence([StageKernel((StrategyRule(dist=ActionAtom(F(2))), StrategyRule(dist=ActionAtom("x"))))])
+    patched = dataclasses.replace(entry, strategies={**entry.strategies, "bad": bad})
+    monkeypatch.setitem(ZOO, "example1", lambda: patched)
+    argv = ["convergence", "--zoo", "example1", "--family", "spread_first", "--battery", "w-poly", "--horizon", "3"]
+    rc, out, err = run(capsys, *argv, "--limit", "bad")
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [
+        "error: strategy 'bad': stage[0].rule[0]: action 2 outside [0, 1]",
+        "error: strategy 'bad': stage[0].rule[1]: interval actions need numeric values, got 'x'",
+    ]
+    family = entry.families["spread_first"]
+    members = dataclasses.replace(family, index_hi=2, members=(("spread_first:bad", bad),))
+    monkeypatch.setitem(ZOO, "example1", lambda: dataclasses.replace(
+        entry, families={**entry.families, "spread_first": members}))
+    rc, out, err = run(capsys, *argv, "--limit", "point_first")
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[0] == "error: strategy 'spread_first:bad': stage[0].rule[0]: action 2 outside [0, 1]"
+
+
 def test_integration_error_is_analysis_failure(capsys, monkeypatch):
     import absorbing_mdp.cli as cli
     from absorbing_mdp.measure import IntegrationError
@@ -508,7 +547,9 @@ def test_negative_float_probability_ends_the_analysis(tmp_path, capsys):
 
 @pytest.mark.parametrize("cause", sorted(REFUSALS))
 def test_atomic_refusal_is_analysis_failure(tmp_path, capsys, cause):
-    model, stage = refusal_case(cause, IntervalActions())
+    # the strategy plays actions of the interval, 0 and 1, so that it passes
+    # validate_strategy and reaches the solver; the missing row is 1's
+    model, stage = refusal_case(cause, IntervalActions(), plays=(F(0), F(1)))
     path = tmp_path / "refuse.json"
     save_json(str(path), model_to_dict(model, {"play": markov_sequence([stage])}))
     rc, _, err = run(
@@ -516,7 +557,7 @@ def test_atomic_refusal_is_analysis_failure(tmp_path, capsys, cause):
         "--solver", "countable",
     )
     assert rc == 1
-    assert err == f"error: {REFUSALS[cause][1]}\n"
+    assert err == f"error: {REFUSALS[cause][1]}\n".replace("'y'", repr(F(1)))
 
 
 def long_digits_model() -> MdpModel:

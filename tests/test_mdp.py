@@ -18,6 +18,7 @@ from absorbing_mdp import (
     ModelError,
     Number,
     ONE,
+    SegmentDecl,
     SegmentSelector,
     StageKernel,
     StateDensity,
@@ -100,6 +101,40 @@ def test_float_probability_within_its_err_of_zero_is_not_negative():
             )
         ),
     )
+    assert validate_model(m) == []
+
+
+def negative_height_model(exact: bool) -> MdpModel:
+    """s jumps to Delta with mass 3/2 and onto [0, 1] of u with height
+    -1/2: the target masses sum to 1, but it is no distribution."""
+    num = (lambda p, q: Number.exact(p, q)) if exact else (lambda p, q: Number.approx(p / q))
+    space = StateSpace(atoms=(AtomDecl("s"), AtomDecl("Delta")), segments=(SegmentDecl("u", F(0), F(1)),))
+    rules = (
+        FixedDiffuse(FromRegion(atoms=("s",)), atom_probs=(("Delta", num(3, 2)),),
+                     pieces=(("u", (F(0), F(1)), (num(-1, 2),)),)),
+        FixedDiffuse(FromRegion(segment="u"), atom_probs=(("Delta", ONE),)),
+        FixedDiffuse(FromRegion(atoms=("Delta",)), atom_probs=(("Delta", ONE),)),
+    )
+    return MdpModel(name="negative-height", states=space, actions=FiniteActions(("a",)),
+                    kernel=TransitionKernel(rules=rules))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_negative_rule_density_height_is_reported(exact):
+    # the heights went unchecked: this model drew no diagnostic, and
+    # occupation_unroll then refused the density it built
+    assert validate_model(negative_height_model(exact)) == ["rule[0]: negative probability on 'u'"]
+
+
+def test_float_rule_density_height_within_its_err_of_zero_is_not_negative():
+    space = StateSpace(atoms=(AtomDecl("s"), AtomDecl("Delta")), segments=(SegmentDecl("u", F(0), F(1)),))
+    rules = (
+        FixedDiffuse(FromRegion(atoms=("s",)), atom_probs=(("Delta", Number.approx(1.0)),),
+                     pieces=(("u", (F(0), F(1)), (Number.approx(-1e-12, 1e-12),)),)),
+        FixedDiffuse(FromRegion(segment="u"), atom_probs=(("Delta", ONE),)),
+        FixedDiffuse(FromRegion(atoms=("Delta",)), atom_probs=(("Delta", ONE),)),
+    )
+    m = MdpModel(name="tiny", states=space, actions=FiniteActions(("a",)), kernel=TransitionKernel(rules=rules))
     assert validate_model(m) == []
 
 

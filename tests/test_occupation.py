@@ -9,6 +9,12 @@ from absorbing_mdp import (
     AtomDecl,
     CountableSolverError,
     FiniteActions,
+    FixedDiffuse,
+    FromRegion,
+    MeasureError,
+    ModelError,
+    SegmentDecl,
+    SegmentSelector,
     IntervalActions,
     ValueFunction,
     bellman_apply,
@@ -368,3 +374,67 @@ def test_atomic_entry_points_refuse_alike(cause):
         with pytest.raises(kind) as info:
             call()
         assert type(info.value) is kind and str(info.value) == message, name
+
+
+# -- the unroll's boundary checks -------------------------------------------
+
+
+def selector_closure(start_pieces=None):
+    """start jumps onto the unit interval (or onto `start_pieces`), whose
+    points jump to Delta."""
+    space = StateSpace(
+        atoms=(AtomDecl("start"), AtomDecl("Delta")),
+        segments=(SegmentDecl("unit", F(0), F(1)),),
+    )
+    pieces = start_pieces or (("unit", (F(0), F(1)), (ONE,)),)
+    rules = (
+        FixedDiffuse(FromRegion(atoms=("start",)), pieces=pieces),
+        FixedDiffuse(FromRegion(segment="unit"), atom_probs=(("Delta", ONE),)),
+        FixedDiffuse(FromRegion(atoms=("Delta",)), atom_probs=(("Delta", ONE),)),
+    )
+    return MdpModel(
+        name="selector-closure", states=space, actions=FiniteActions(("0", "1")),
+        kernel=TransitionKernel(rules=rules),
+    )
+
+
+def selector_strategy(first="0", cells=("0", "1", "0", "1")):
+    n = len(cells)
+    selector = SegmentSelector("unit", tuple(F(j, n) for j in range(n + 1)), cells)
+    return markov_sequence([
+        StageKernel((StrategyRule(dist=ActionAtom(first)),)),
+        StageKernel((selector, StrategyRule(dist=ActionAtom("0")))),
+    ])
+
+
+@pytest.mark.parametrize(
+    "case, kind, message",
+    [
+        ("x0 outside its segment", MeasureError, "point coordinate 2 outside 'unit'"),
+        ("unknown x0", ModelError, "no kernel rule covers StatePoint('nowhere')"),
+        ("rule names 9", MeasureError, "unknown action '9'"),
+        ("selector names 9", MeasureError, "unknown action '9'"),
+        ("piece outside its segment", MeasureError, "density support outside segment 'unit'"),
+        ("negative piece height", MeasureError, "density on 'unit': negative height"),
+    ],
+)
+def test_the_unroll_checks_its_inputs(case, kind, message):
+    model, strategy = selector_closure(), selector_strategy()
+    x0 = model.states.point("start")
+    if case == "x0 outside its segment":
+        x0 = StatePoint(segment="unit", coord=F(2))
+    elif case == "unknown x0":
+        x0 = StatePoint(atom="nowhere")
+    elif case == "rule names 9":
+        strategy = selector_strategy(first="9")
+    elif case == "selector names 9":
+        strategy = selector_strategy(cells=("0", "1", "9", "1"))
+    elif case == "piece outside its segment":
+        model = selector_closure((("unit", (F(0), F(2)), (Number.exact(1, 2),)),))
+    else:
+        half = Number.exact(1, 2)
+        model = selector_closure((("unit", (F(0), F(1), F(2)), (Number.exact(3, 2), -half)),))
+    # none of these is run through validate_model or validate_strategy first
+    with pytest.raises(kind) as info:
+        occupation_unroll(model, strategy, x0, 3)
+    assert type(info.value) is kind and str(info.value) == message
