@@ -520,6 +520,9 @@ def main(argv=None) -> int:
     except ZeroDivisionError as exc:
         print(f"error: division by zero in the analysis ({exc})", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        print(f"error: overflow in the analysis ({exc})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -140,6 +140,12 @@ class MdpModel:
     condition_note: str = ""
     frontier: frozenset[str] = frozenset()
 
+    @cached_property
+    def _diagnostics(self) -> tuple[str, ...]:
+        """`validate_model`'s diagnostics, worked out once: a model does not
+        change once validated.  A call that raises keeps nothing."""
+        return tuple(_diagnose(self))
+
 
 def resolve_rule(model: MdpModel, part: StatePart) -> KernelRule | str:
     """The governing rule for a state part: the literal string "table" for
@@ -177,7 +183,16 @@ def _unit_diag(total: Number, where: str, what: str, diags: list) -> None:
 
 
 def validate_model(model: MdpModel) -> list[str]:
-    """Structural diagnostics; an empty list means the model is well formed."""
+    """Structural diagnostics; an empty list means the model is well formed.
+
+    They are worked out once per model object and kept with it, for as long
+    as it lives; each call returns a fresh list of them.  A model must not
+    change after its first validation: its fields, down to a kernel's rows
+    and a rule's atoms, are tuples, frozensets and `Number`s, not lists."""
+    return list(model._diagnostics)
+
+
+def _diagnose(model: MdpModel) -> list[str]:
     diags: list[str] = []
     space, actions, kernel = model.states, model.actions, model.kernel
     atom_names = {a.name for a in space.atoms}
@@ -364,10 +379,15 @@ class StrategyRule:
     atoms: tuple[str, ...] | None = None
     segment: str | None = None
 
+    def __post_init__(self):
+        # the set `matches` looks a point's atom up in; a plain attribute
+        # reads faster than a `cached_property`
+        object.__setattr__(self, "_atom_set", frozenset(self.atoms or ()))
+
     def matches(self, point: StatePoint) -> bool:
         if self.atoms is None and self.segment is None:
             return True
-        if self.atoms is not None and point.atom in self.atoms:
+        if self.atoms is not None and point.atom in self._atom_set:
             return True
         return self.segment is not None and point.segment == self.segment
 

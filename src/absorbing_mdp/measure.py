@@ -64,8 +64,9 @@ all read it.
 
 A measure the user builds is checked component by component
 (`HybridMeasure.__post_init__`).  The cells `occupation_unroll` cuts from
-a checked density, and the measure it merges them into, are built by
-`_trusted`, which skips the checks.
+a checked density, the measure it merges them into, and the merge
+`marginal_state` makes of a measure, are built by `_trusted`, which skips
+the checks.
 """
 
 from __future__ import annotations
@@ -361,25 +362,52 @@ def marginal_state(mu: HybridMeasure) -> HybridMeasure:
 
     An exact marginal whose state parts are all distinct is its own
     projection and is returned as is.  A float weight is still multiplied
-    by the action mass 1, which adds rounding slop to its err."""
+    by the action mass 1, which adds rounding slop to its err.  The merged
+    measure's states are `mu`'s and its weights are products and sums of
+    nonnegative parts, so it is built by `_trusted`.
+
+    State parts are told apart by `_name_key` first; only when two unequal
+    parts share a name are the parts themselves compared."""
     comps = mu.components
-    if (
-        all(c.action is None and c.weight.is_exact for c in comps)
-        and len({c.state for c in comps}) == len(comps)
+    if all(c.action is None and c.weight.is_exact for c in comps) and (
+        len({_name_key(c.state) for c in comps}) == len(comps)
+        or len({c.state for c in comps}) == len(comps)
     ):
         return mu
+    merged = _merged(comps, _name_key)
+    if merged is None:
+        merged = _merged(comps, lambda s: s)
+    comps = tuple(MeasureComponent(s, None, w) for s, w in merged)
+    return _trusted(HybridMeasure, domain=mu.domain, components=comps)
+
+
+def _name_key(s: StatePart):
+    """An atom point's name, else the part itself.  Equal parts have equal
+    keys and distinct names make distinct parts; a name hashes far faster
+    than a point with a Fraction coordinate.  Validation does not tie an
+    atom point's coord to its declaration, so unequal parts may share it."""
+    if type(s) is StateAtom and s.point.atom is not None:
+        return s.point.atom
+    return s
+
+
+def _merged(comps, key):
+    """[state part, Σ weight × action mass] per distinct state part, in
+    first-seen order and summed in order; None when two unequal parts
+    share a key."""
     merged: dict = {}
-    order: list = []
-    for c in mu.components:
+    for c in comps:
+        s = c.state
         w = c.weight * action_mass(c.action)
-        key = c.state
-        if key in merged:
-            merged[key] = merged[key] + w
+        k = key(s)
+        entry = merged.get(k)
+        if entry is None:
+            merged[k] = [s, w]
+        elif entry[0] == s:
+            entry[1] = entry[1] + w
         else:
-            merged[key] = w
-            order.append(key)
-    comps = tuple(MeasureComponent(s, None, merged[s]) for s in order)
-    return HybridMeasure(mu.domain, comps)
+            return None
+    return merged.values()
 
 
 class PushforwardError(MeasureError):

@@ -54,9 +54,11 @@ def _slop(x: float) -> float:
 class Number:
     """An exact `Fraction` with err 0, or a finite float with a finite err >= 0.
 
-    Immutable.  The public constructor validates its arguments; exact
-    arithmetic results (`+ - * /`, `abs`), which are valid by construction,
-    skip that through the module-private `_exact`.
+    Immutable.  The public constructor validates its arguments, and
+    raises ValueError for a non-finite value or err; exact arithmetic
+    results (`+ - * /`, `abs`), which are valid by construction, skip that
+    through the module-private `_exact`.  A float `+ - * /` whose value or
+    err overflows raises OverflowError (`_approx`).
     """
 
     __slots__ = ("value", "err")
@@ -146,7 +148,7 @@ class Number:
         if not (isinstance(a, float) or isinstance(b, float)):
             return _exact(a + b)
         v = float(a) + float(b)
-        return Number(v, float(self.err) + float(o.err) + _slop(v))
+        return _approx(v, float(self.err) + float(o.err) + _slop(v))
 
     __radd__ = __add__
 
@@ -168,7 +170,7 @@ class Number:
         if not (isinstance(a, float) or isinstance(b, float)):
             return _exact(a - b)
         v = float(a) - float(b)
-        return Number(v, float(self.err) + float(o.err) + _slop(v))
+        return _approx(v, float(self.err) + float(o.err) + _slop(v))
 
     def __rsub__(self, other) -> "Number":
         return self._coerce(other) - self
@@ -183,7 +185,7 @@ class Number:
         a, b = float(a), float(b)
         ea, eb = float(self.err), float(o.err)
         v = a * b
-        return Number(v, abs(a) * eb + abs(b) * ea + ea * eb + _slop(v))
+        return _approx(v, abs(a) * eb + abs(b) * ea + ea * eb + _slop(v))
 
     __rmul__ = __mul__
 
@@ -205,7 +207,7 @@ class Number:
             raise ZeroDivisionError(f"divisor interval contains zero: {o!r}")
         v = a / b
         bound = (ea + abs(v) * eb) / (abs(b) - eb)
-        return Number(v, bound + _slop(v))
+        return _approx(v, bound + _slop(v))
 
     def __abs__(self) -> "Number":
         v = self.value
@@ -300,6 +302,18 @@ def _exact(v: Fraction) -> Number:
     n = _new(Number)
     _set_value(n, v)
     _set_err(n, _NO_ERR)
+    return n
+
+
+def _approx(v: float, e: float) -> Number:
+    """Constructor for the result of a float operation, whose err `e` is
+    nonnegative by its formula.  A value or err that overflowed (inf, or
+    the nan of inf * 0) raises OverflowError."""
+    if not (math.isfinite(v) and math.isfinite(e)):
+        raise OverflowError(f"float arithmetic overflowed: value {v!r}, err {e!r}")
+    n = _new(Number)
+    _set_value(n, v)
+    _set_err(n, e)
     return n
 
 

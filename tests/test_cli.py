@@ -423,6 +423,13 @@ def test_model_file_that_is_not_a_json_object_is_input_error(tmp_path, text, mes
     )
 
 
+def _unhashable_strategy_atom() -> str:
+    # a strategy rule atom that is a list: the rule's atom set cannot hold it
+    doc = model_to_dict(negative_float_model(), {"go": deterministic_stationary(default="a")})
+    doc["strategies"]["go"]["stages"][0]["rules"][0]["atoms"] = [["s"]]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -431,8 +438,9 @@ def test_model_file_that_is_not_a_json_object_is_input_error(tmp_path, text, mes
             "bad model field 'kernel'",
         ),
         ('{"format": "absorbing-mdp/model", "version": 1}', "no 'kernel' field"),
+        (_unhashable_strategy_atom(), "bad model field 'strategies': unhashable type: 'list'"),
     ],
-    ids=["kernel-row-not-a-pair", "no-kernel"],
+    ids=["kernel-row-not-a-pair", "no-kernel", "strategy-atom-unhashable"],
 )
 def test_model_document_of_the_wrong_shape_is_input_error(tmp_path, text, message):
     path = tmp_path / "model.json"
@@ -543,6 +551,19 @@ def test_negative_float_probability_ends_the_analysis(tmp_path, capsys):
     rc, out, err = run(capsys, "occupation", "--model", str(path), "--strategy", "go", "--x0", "s")
     assert (rc, out) == (1, "")
     assert err == "model diagnostics:\n  row ('s', 'a'): negative probability on 'Delta'\n"
+
+
+def test_float_overflow_is_analysis_failure(tmp_path, capsys):
+    # the row's float probabilities are finite, their sum is not
+    model = negative_float_model()
+    big = (("t", Number.approx(1e308)), ("Delta", Number.approx(1e308)))
+    rows = tuple((key, big if key == ("s", "a") else row) for key, row in model.kernel.rows)
+    model = dataclasses.replace(model, kernel=TransitionKernel(rows=rows))
+    path = tmp_path / "overflow.json"
+    save_json(str(path), model_to_dict(model, {"go": deterministic_stationary(default="a")}))
+    rc, out, err = run(capsys, "occupation", "--model", str(path), "--strategy", "go", "--x0", "s")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: overflow in the analysis") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cause", sorted(REFUSALS))

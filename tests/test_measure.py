@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from absorbing_mdp import (
     ActionAtom,
@@ -26,6 +26,7 @@ from absorbing_mdp import (
     StateAtom,
     StateDensity,
     StateFactor,
+    StatePoint,
     TestFunction,
     add,
     integrate,
@@ -156,31 +157,51 @@ def merge_reference(mu):
     return HybridMeasure(mu.domain, tuple(MeasureComponent(s, None, w) for s, w in merged.items()))
 
 
+# State parts of every kind: atoms, two of them sharing the name "start"
+# but not the coord (validation does not tie an atom point's coord to its
+# declaration), a segment point, and densities.
+MARGINAL_STATES = (
+    StateAtom(StatePoint("start")),
+    StateAtom(StatePoint("start", coord=F(1, 3))),
+    StateAtom(StatePoint("Delta")),
+    StateAtom(StatePoint(segment="seg", coord=F(1, 2))),
+    density((0, 1), (1,)),
+    density((0, F(1, 2), 1), (2, 0)),
+)
+
+
+def _marginal(*states, action=None):
+    return HybridMeasure(unit_domain(), tuple(MeasureComponent(s, action, ONE) for s in states))
+
+
 @st.composite
 def marginal_like(draw):
-    dom = unit_domain()
-    pool = [
-        StateAtom(dom.states.point("start")),
-        StateAtom(dom.states.point("Delta")),
-        density((0, 1), (1,)),
-        density((0, F(1, 2), 1), (2, 0)),
-    ]
     comps = []
-    for _ in range(draw(st.integers(0, 5))):
-        state = draw(st.sampled_from(pool))
+    for _ in range(draw(st.integers(0, 6))):
+        state = draw(st.sampled_from(MARGINAL_STATES))
         action = draw(st.sampled_from([None, None, ActionAtom(F(1, 2))]))
         if draw(st.booleans()):
             weight = Number.exact(draw(weights))
         else:
             weight = Number.approx(draw(st.floats(0, 5)), draw(st.floats(0, 1e-6)))
         comps.append(MeasureComponent(state, action, weight))
-    return HybridMeasure(dom, tuple(comps))
+    return HybridMeasure(unit_domain(), tuple(comps))
 
 
 @given(marginal_like())
+@example(_marginal(MARGINAL_STATES[0], MARGINAL_STATES[1]))
+@example(_marginal(MARGINAL_STATES[0], MARGINAL_STATES[2], MARGINAL_STATES[0]))
+@example(_marginal(MARGINAL_STATES[3], MARGINAL_STATES[4], MARGINAL_STATES[3]))
+@example(_marginal(*MARGINAL_STATES[:3], MARGINAL_STATES[0], action=ActionAtom(F(1, 2))))
 def test_marginal_matches_the_merge_and_skips_exact_marginals(mu):
+    # the merge built by the checked constructor: the trusted one must
+    # equal it, hash equal to it and keep every float weight's bits
     got = marginal_state(mu)
-    assert got == merge_reference(mu)
+    want = merge_reference(mu)
+    assert got == want and hash(got) == hash(want)
+    assert [repr(c.weight) for c in got.components] == [repr(c.weight) for c in want.components]
+    assert HybridMeasure(got.domain, got.components) == got
+    # the name pretest against the full-state test
     comps = mu.components
     own = (
         all(c.action is None and c.weight.is_exact for c in comps)

@@ -6,7 +6,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from absorbing_mdp import Number, ONE, ZERO, format_number, nsum, parse_number
 
@@ -222,11 +222,17 @@ def test_public_constructor_keeps_its_checks():
 
 
 def test_float_results_keep_the_finiteness_check():
+    # an overflowed result is an OverflowError; a non-finite value or err
+    # handed to the constructor stays a ValueError
     big = Number.approx(1e308)
-    with pytest.raises(ValueError):
+    with pytest.raises(OverflowError):
         big * big
-    with pytest.raises(ValueError):
+    with pytest.raises(OverflowError):
         big + big
+    with pytest.raises(ValueError):
+        Number.approx(math.inf)
+    with pytest.raises(ValueError):
+        Number.approx(0.0, math.inf)
 
 
 # -- the integer kernel against fractions.Fraction ----------------------------
@@ -348,21 +354,34 @@ def bits(v, e):
 operands = st.one_of(approx_numbers(), fractions.map(Number))
 
 
+def assert_keeps_bits(op, x, y, want):
+    """op(x, y) has the bits of the reference (value, err) `want`, or
+    raises OverflowError exactly when either of them is not finite: a
+    Number holds no inf or nan."""
+    if not (math.isfinite(want[0]) and math.isfinite(want[1])):
+        with pytest.raises(OverflowError):
+            op(x, y)
+        return
+    got = op(x, y)
+    assert not got.is_exact
+    assert bits(got.value, got.err) == bits(*want)
+
+
 @given(operands, operands)
+@example(Number.approx(1.0), Number.approx(2.2250738585e-313))
+@example(Number.approx(0.0, 1.0), Number.approx(2.2250738585e-313))
+@example(Number.approx(1e308), Number.approx(1e308))
 def test_float_and_mixed_arithmetic_keeps_its_bits(x, y):
     if x.is_exact and y.is_exact:
         return
     for op, old in ((Number.__add__, old_add), (Number.__sub__, old_sub), (Number.__mul__, old_mul)):
-        got = op(x, y)
-        assert not got.is_exact
-        assert bits(got.value, got.err) == bits(*old(x, y))
+        assert_keeps_bits(op, x, y, old(x, y))
     want = old_div(x, y)
     if want is None:
         with pytest.raises(ZeroDivisionError):
             x / y
     else:
-        got = x / y
-        assert bits(got.value, got.err) == bits(*want)
+        assert_keeps_bits(Number.__truediv__, x, y, want)
     for got, (v, e) in (
         (-x, (-float(x.value), float(x.err))),
         (abs(x), (abs(float(x.value)), float(x.err))),
