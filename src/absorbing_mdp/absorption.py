@@ -116,10 +116,12 @@ def verify_supersolution(model: MdpModel, w: ValueFunction, support) -> VerifyRe
         lhs = w.value_at(atom)
         rhs = _apply_at(model, w.value_at, atom)
         details.append((atom, lhs, rhs))
-        # exact sides compare by cross products, inexact ones by value
-        if lhs < rhs and first_violation is None:
+        # exact sides compare by cross products, inexact ones by value,
+        # both formed once
+        r, l = rhs._ordered(lhs)
+        if l < r and first_violation is None:
             first_violation = atom
-        elif lhs > rhs:
+        elif l > r:
             strict = True
     if first_violation is not None:
         return VerifyResult("violated", first_violation, tuple(details))

@@ -146,6 +146,12 @@ class MdpModel:
         change once validated.  A call that raises keeps nothing."""
         return tuple(_diagnose(self))
 
+    @cached_property
+    def _atom_rules(self) -> dict:
+        """Atom name -> its resolved rule, filled by `occupation._atom_rows`:
+        for an atom point, `FromRegion.matches` reads only the name."""
+        return {}
+
 
 def resolve_rule(model: MdpModel, part: StatePart) -> KernelRule | str:
     """The governing rule for a state part: the literal string "table" for
@@ -266,7 +272,7 @@ def _diagnose(model: MdpModel) -> list[str]:
     # coverage and overlap
     tabled = {key[0] for key in rows}
     for a in sorted(atom_names - set(model.frontier)):
-        point = StatePoint(atom=a, coord=space.atom_decl(a).coord)
+        point = space.point(a)
         matching = [i for i, r in enumerate(kernel.rules) if r.region.matches(point)]
         if a in tabled:
             if matching:

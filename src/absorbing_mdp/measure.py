@@ -60,13 +60,15 @@ call.
 
 The joint cell table is the one integer form of a measure's exact cells:
 `integrate`, `HybridMeasure.total_mass` and `topology.determinism_defect`
-all read it.
+all read it.  An exact atom term whose value is 0 is skipped, and
+`_exact_sum` drops zero numerators, so a zero never widens the common
+denominator.
 
 A measure the user builds is checked component by component
 (`HybridMeasure.__post_init__`).  The cells `occupation_unroll` cuts from
 a checked density, the measure it merges them into, and the merge
-`marginal_state` makes of a measure, are built by `_trusted`, which skips
-the checks.
+`marginal_state` makes of a measure, and the countable solver's measure,
+are built by `_trusted`, which skips the checks.
 """
 
 from __future__ import annotations
@@ -248,22 +250,22 @@ class HybridMeasure:
             _validate_action(self.domain.actions, c.action)
 
     def total_mass(self) -> Number:
-        """Σ c.mass().  With a state density and every weight exact, the
-        cells of the joint cell table (`_CellTable`) are summed as integers,
-        Σ p·(b − a) over q·d per group, with the other components' exact
-        masses, by `_exact_sum`; with any inexact component, in order by
-        `nsum`, so that float results keep their bits."""
+        """Σ c.mass().  With every weight exact, the masses are summed as
+        integers by `_exact_sum`: an atom's under an action atom or none is
+        its weight, and with a state density the cells of the joint cell
+        table (`_CellTable`) add Σ p·(b − a) over q·d per group.  With any
+        inexact component, in order by `nsum`, so that float results keep
+        their bits."""
         comps = self.components
-        if not (
-            any(type(c.state) is StateDensity for c in comps)
-            and all(type(c.weight.value) is Fraction for c in comps)
-        ):
+        if not all(type(c.weight.value) is Fraction for c in comps):
             return nsum(c.mass() for c in comps)
         table = _cell_table(self, True)
         terms = []
         for i, c in enumerate(comps):
             if i not in table.rows:
-                m = c.mass().value
+                a = c.action
+                atom = type(c.state) is StateAtom and (a is None or type(a) is ActionAtom)
+                m = c.weight.value if atom else c.mass().value
                 if type(m) is not Fraction:
                     return nsum(c.mass() for c in comps)
                 terms.append((m.numerator, m.denominator))
@@ -398,7 +400,9 @@ def _merged(comps, key):
     merged: dict = {}
     for c in comps:
         s = c.state
-        w = c.weight * action_mass(c.action)
+        w, m = c.weight, action_mass(c.action)
+        if m is not ONE or type(w.value) is not Fraction:  # an exact w * ONE is w
+            w = w * m
         k = key(s)
         entry = merged.get(k)
         if entry is None:
@@ -750,7 +754,8 @@ def _integral(mu: HybridMeasure, g: TestFunction, tol: float) -> Number:
             w = c.weight.value
             t = _checked_term(g, ev(s.point, a.action) if joint else ev(s.point))
             if type(t) is tuple and type(w) is Fraction:
-                terms.append((w._numerator * t[0], w._denominator * t[1]))
+                if t[0]:
+                    terms.append((w._numerator * t[0], w._denominator * t[1]))
                 continue
             v = Number(Fraction(*t)) if type(t) is tuple else t
             # c's share as _component_integral computes it from v
@@ -798,23 +803,27 @@ def _checked_term(g: TestFunction, raw) -> tuple[int, int] | Number:
 def _exact_sum(terms) -> Fraction:
     """Σ n/d over the (n, d) pairs, d > 0.
 
-    Numerators over equal denominators are added first.  The denominators
-    are then taken in increasing order, the running sum kept as an integer
-    over the lcm of those seen so far; a denominator that this lcm divides
-    (each one, when they are nested powers of two) costs a division with a
-    small quotient, and only any other one a gcd.
+    Zero numerators are dropped, so their denominators never reach the
+    lcm.  Numerators over equal denominators are added first.  The
+    denominators are then taken in increasing order, the running sum kept
+    as an integer over the lcm of those seen so far; a denominator that
+    this lcm divides (each one, when they are nested powers of two, or
+    repeat) costs one `divmod` with a small quotient, and only any other
+    one a gcd.
     """
     by_d: dict[int, int] = {}
     for n, d in terms:
-        by_d[d] = by_d.get(d, 0) + n
+        if n:
+            by_d[d] = by_d.get(d, 0) + n
     acc, q = 0, 1
     for d in sorted(by_d):
-        if d % q:
+        k, r = divmod(d, q)
+        if r:
             g = math.gcd(q, d)
             acc = acc * (d // g) + by_d[d] * (q // g)
             q = q // g * d
         else:
-            acc = acc * (d // q) + by_d[d]
+            acc = acc * k + by_d[d]
             q = d
     return Fraction(acc, q)
 

@@ -19,17 +19,24 @@ Two solver paths:
   is not dropped: it is certified into `tail_bound` as (frontier inflow) x
   cap, where the cap 1/(1-q) bounds the occupation a unit of stray mass can
   still generate and q is the largest stay-in-play probability seen
-  (overridable via `continue_bound`).  The bound is a library construction,
-  valid whenever q really bounds the continuation probability beyond the
-  frontier.
+  (overridable via `continue_bound`; of float probabilities, the largest
+  certified upper end value + err, refused when it reaches 1).  The bound
+  is a library construction, valid whenever q really bounds the
+  continuation probability beyond the frontier.
 
 Both paths, and the hitting-time operator in `absorption`, share one
-atom-routing core.  `_atom_rows` resolves an atom's kernel rule once and
-fetches its rows for the actions it is given (one action-independent row
-for a diffuse rule); it refuses a density target or a segment rule with a
-`SolverError`, which the unroll path avoids by handling those rules itself.
-`_route` sends each weighted term of a row to the cemetery, the frontier's
-running total or the in-play masses.
+atom-routing core.  `_atom_rows` reads an atom's kernel rule from the
+model's rules resolved so far (`MdpModel._atom_rules`, by atom name: a
+region matches an atom point by its name alone) and fetches its rows for
+the actions it is given (one action-independent row for a diffuse rule); it
+refuses a density target or a segment rule with a `SolverError`, which the
+unroll path avoids by handling those rules itself.  `_route` sends each
+weighted term of a row to the cemetery, the frontier's running total or the
+in-play masses.  It, and the countable solve's class loop, take ONE * p as
+p and ZERO + m as m when p or m is exact (`_times`, `_plus`); a float
+operand keeps its arithmetic.  The countable measure is built by
+`_trusted`: its states are the space's points, and every weight and each
+distinct action are checked.
 
 `occupation_countable` solves each instance once while its strategy object
 lives: a repeated call with the same strategy object, the same model object
@@ -166,7 +173,10 @@ def _atom_rows(model: MdpModel, point: StatePoint, pairs):
     single (None, row) of its atom targets, whatever the actions.  A density
     target or a segment rule is refused."""
     atom = point.atom
-    rule = resolve_rule(model, StateAtom(point))
+    rules = model._atom_rules
+    rule = rules.get(atom)
+    if rule is None:  # a lookup that raises keeps nothing
+        rule = rules[atom] = resolve_rule(model, StateAtom(point))
     if rule == "table":
         out = []
         for a, w in pairs:
@@ -184,6 +194,16 @@ def _atom_rows(model: MdpModel, point: StatePoint, pairs):
     raise SolverError(f"atomic solver met {cause}")
 
 
+def _times(w: Number, p: Number) -> Number:
+    """w * p; p itself when w is ONE and p exact, which ONE * p equals."""
+    return p if w is ONE and type(p.value) is Fraction else w * p
+
+
+def _plus(x: Number, m: Number) -> Number:
+    """x + m; m itself when x is ZERO and m exact, which ZERO + m equals."""
+    return m if x is ZERO and type(m.value) is Fraction else x + m
+
+
 def _route(model: MdpModel, row, weight: Number | None, into: dict, frontier: Number) -> Number:
     """Send the terms weight * p of a kernel row on (p itself when `weight`
     is None): a frontier atom's onto the running total `frontier`, term by
@@ -192,11 +212,11 @@ def _route(model: MdpModel, row, weight: Number | None, into: dict, frontier: Nu
     Returns the new frontier total."""
     cemetery = model.states.cemetery
     for name, p in row:
-        mass = p if weight is None else weight * p
+        mass = p if weight is None else _times(weight, p)
         if name in model.frontier and name != cemetery:
-            frontier = frontier + mass
+            frontier = _plus(frontier, mass)
         else:
-            into[name] = into.get(name, ZERO) + mass
+            into[name] = _plus(into.get(name, ZERO), mass)
     return frontier
 
 
@@ -572,14 +592,14 @@ def _countable(model, strategy, x0, trunc, continue_bound) -> OccupationResult:
         for x, v in visits.items():
             for a, wa in acts[x]:
                 key = (x, a)
-                occ[key] = occ.get(key, ZERO) + v * wa
+                occ[key] = _plus(occ.get(key, ZERO), _times(wa, v))
             for dst, p in trans[x].items():
                 if dst not in visits:
-                    enter[dst] = enter[dst] + v * p
+                    enter[dst] = _plus(enter[dst], v * p)
             # a state with no frontier successor adds nothing: a float v
             # times an exact zero would add a 0.0 carrying rounding slop
             if not _is_zero(frontier_p[x]):
-                frontier = frontier + v * frontier_p[x]
+                frontier = _plus(frontier, v * frontier_p[x])
 
     tail = frontier * _cap(cont, continue_bound, needed=not _is_zero(frontier))
     return _countable_result(model, occ, tail)
@@ -592,10 +612,10 @@ def _cap(cont: dict, continue_bound, needed: bool) -> Number:
         return ONE
     if continue_bound is not None:
         q = Number.lift(continue_bound)
-    elif cont:
-        q = max(cont.values())
-    else:
-        q = ZERO
+    elif all(c.is_exact for c in cont.values()):
+        q = max(cont.values(), default=ZERO)
+    else:  # the largest certified upper end, not the largest central value
+        q = Number.approx(_round_up(max(Fraction(c.value) + Fraction(c.err) for c in cont.values())))
     if q >= ONE:
         raise CountableSolverError(
             "no absorption certificate: continuation probability reaches 1; "
@@ -608,11 +628,17 @@ def _countable_result(model: MdpModel, occ: dict, tail: Number) -> OccupationRes
     space = model.states
     domain = Domain(model.states, model.actions)
     comps = []
+    checked: dict = {}  # action -> its checked ActionAtom
     for (atom, action), w in occ.items():
         if _is_zero(w):
             continue
-        comps.append(MeasureComponent(StateAtom(space.point(atom)), ActionAtom(action), w))
-    return OccupationResult(HybridMeasure(domain, tuple(comps)), tail, "countable")
+        _validate_weight(w, "component")
+        a = checked.get(action)
+        if a is None:
+            a = checked[action] = ActionAtom(action)
+            _validate_action(domain.actions, a)
+        comps.append(MeasureComponent(StateAtom(space.point(atom)), a, w))
+    return OccupationResult(_trusted(HybridMeasure, domain=domain, components=tuple(comps)), tail, "countable")
 
 
 def survival_probs(

@@ -268,6 +268,9 @@ def _region_to_dict(r: FromRegion) -> dict:
 
 def _region_from_dict(d: dict) -> FromRegion:
     if "atoms" in d:
+        for a in d["atoms"]:
+            if type(a) is not str:
+                raise TypeError(f"region atom {a!r} is not a string")
         return FromRegion(atoms=tuple(d["atoms"]))
     return FromRegion(segment=d["segment"])
 

@@ -135,10 +135,17 @@ class StateSpace:
                 return s
         raise KeyError(f"unknown segment {label!r}")
 
+    @cached_property
+    def _points(self) -> dict:
+        return {a.name: StatePoint(atom=a.name, coord=a.coord) for a in self.atoms}
+
     def point(self, name: str) -> StatePoint:
-        """Atom point with its declared coordinate resolved in."""
-        decl = self.atom_decl(name)
-        return StatePoint(atom=name, coord=decl.coord)
+        """Atom point with its declared coordinate resolved in, built once
+        per atom and kept with the space."""
+        p = self._points.get(name)
+        if p is None:
+            raise KeyError(f"unknown atom {name!r}")
+        return p
 
     def segment_point(self, label: str, coord: Coord) -> StatePoint:
         seg = self.segment_decl(label)

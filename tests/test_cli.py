@@ -430,6 +430,13 @@ def _unhashable_strategy_atom() -> str:
     return json.dumps(doc)
 
 
+def _unhashable_region_atom() -> str:
+    # a kernel region atom that is a list: validation's name lookups cannot hold it
+    doc = model_to_dict(negative_float_model(rule=True), {"go": deterministic_stationary(default="a")})
+    doc["kernel"]["rules"][0]["region"]["atoms"] = [["s"]]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -439,8 +446,9 @@ def _unhashable_strategy_atom() -> str:
         ),
         ('{"format": "absorbing-mdp/model", "version": 1}', "no 'kernel' field"),
         (_unhashable_strategy_atom(), "bad model field 'strategies': unhashable type: 'list'"),
+        (_unhashable_region_atom(), "bad model field 'kernel': region atom ['s'] is not a string"),
     ],
-    ids=["kernel-row-not-a-pair", "no-kernel", "strategy-atom-unhashable"],
+    ids=["kernel-row-not-a-pair", "no-kernel", "strategy-atom-unhashable", "kernel-region-atom-unhashable"],
 )
 def test_model_document_of_the_wrong_shape_is_input_error(tmp_path, text, message):
     path = tmp_path / "model.json"

@@ -1,6 +1,7 @@
 """Occupation solvers: exact unrolling, stationary-tail closed forms,
 frontier certificates and the flow equation."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,30 @@ def test_continue_bound_override(ladder8):
                                continue_bound=F(3, 4))
     # cap becomes 1/(1 - 3/4) = 4: twice the default bound
     assert occ.tail_bound == Number.exact(1, 2 ** 6)
+
+
+def test_cap_takes_the_certified_upper_end_of_float_stay_probabilities():
+    # A stays in play with 0.9 +- 0.05, B with 0.8 +- 0.25: the largest
+    # central value is below 1, but B's upper end is not, so no cap holds
+    space = StateSpace(atoms=tuple(AtomDecl(n) for n in ("A", "B", "F", "Delta")))
+    rows = (
+        (("A", "x"), (("B", Number.approx(0.9)), ("Delta", Number.approx(0.1, 0.05)))),
+        (("B", "x"), (("F", Number.approx(0.8)), ("Delta", Number.approx(0.2, 0.25)))),
+    )
+    model = MdpModel(
+        name="overlap", states=space, actions=FiniteActions(("x",)),
+        kernel=TransitionKernel(rows=rows), frontier=frozenset({"F"}),
+    )
+    x0 = space.point("A")
+    with pytest.raises(CountableSolverError, match="continuation probability reaches 1"):
+        occupation_countable(model, deterministic_stationary(default="x"), x0)
+    # with B's stay interval below 1 the cap is taken at its upper end
+    narrow = (rows[0], (("B", "x"), (("F", Number.approx(0.8)), ("Delta", Number.approx(0.2, 0.15)))))
+    model = dataclasses.replace(model, kernel=TransitionKernel(rows=narrow))
+    occ = occupation_countable(model, deterministic_stationary(default="x"), x0)
+    # frontier inflow 0.9 * 0.8 times a cap of at least 1/(1 - 0.95); the
+    # central values would give 1/(1 - 0.9)
+    assert occ.tail_bound.value >= 0.72 * 20 * (1 - 1e-12)
 
 
 # -- survival and tails ----------------------------------------------------
