@@ -4,7 +4,9 @@ The Bellman operator here is the one for worst-case expected time to
 absorption: (Tw)(x) = 1 + max over actions of the expected value of w at
 the successor, with w pinned to zero at the cemetery.  Value iteration from
 zero is monotone and converges to the least fixed point on the truncated
-support (successors outside the support count as zero).
+support (successors outside the support count as zero).  Exact rows are
+summed on integers, zero values skipped; inexact rows keep `Number`
+arithmetic, and a max over overlapping intervals is an enclosure.
 
 `uniformity_report` tabulates tail sums over a strategy family.  Its
 verdict is honest about finite evidence: a certified witness cell proves
@@ -17,15 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
-from .numbers import Number, ZERO, ONE, nsum
+from .numbers import Number, ZERO, ONE, _exact, _frac, nsum
 from .mdp import FiniteActions, MdpModel, ModelError, StrategyFamily
 from .occupation import (
     _ACTION_DENSITY,
     SolverError,
     Truncation,
     _atom_rows,
+    _round_up,
     expected_hitting_time,
     occupation_countable,
     survival_probs,
@@ -59,15 +63,70 @@ class ValueFunction:
 
 
 def _apply_at(model: MdpModel, lookup: Callable[[str], Number], atom: str) -> Number:
+    """(Tw)(atom).  While all is exact, a row is one unreduced integer sum
+    n/d without its zero-valued terms, rows compare by cross products, and
+    only the winner is reduced; `_inexact_rows` takes over at a float."""
     if not isinstance(model.actions, FiniteActions):
         raise SolverError(_ACTION_DENSITY)
-    best = None
-    point = model.states.point(atom)
-    for _, row in _atom_rows(model, point, ((a, None) for a in model.actions.names)):
-        total = nsum(p * lookup(name) for name, p in row)
-        if best is None or total > best:
-            best = total
-    return ONE + best
+    pairs = ((a, None) for a in model.actions.names)
+    rows = iter(_atom_rows(model, model.states.point(atom), pairs))
+    bn, bd = None, 1
+    for _, row in rows:
+        n, d = 0, 1
+        terms = iter(row)
+        for name, p in terms:
+            w = lookup(name)
+            pv, wv = p.value, w.value
+            if type(pv) is not Fraction or type(wv) is not Fraction:
+                best = [] if bn is None else [_reduced(bn, bd)]
+                return _inexact_rows(lookup, best, _reduced(n, d) + p * w, terms, rows)
+            wn = wv._numerator
+            if not wn:
+                continue
+            tn, td = pv._numerator * wn, pv._denominator * wv._denominator
+            if td == d:
+                n += tn
+                continue
+            q, r = divmod(d, td) if td < d else divmod(td, d)
+            if r:
+                g = gcd(d, td)
+                n, d = n * (td // g) + tn * (d // g), d // g * td
+            elif td < d:
+                n += tn * q
+            else:
+                n, d = n * q + tn, td
+        if bn is None or n * bd > bn * d:
+            bn, bd = n, d
+    return _reduced(bn + bd, bd)
+
+
+def _reduced(n: int, d: int) -> Number:
+    """The exact Number n/d, for d > 0, in lowest terms."""
+    g = gcd(n, d)
+    return _exact(_frac(n // g, d // g))
+
+
+def _inexact_rows(lookup, best: list, acc: Number, terms, rows) -> Number:
+    """The rest of an atom's rows summed as `nsum` would, from `acc` on;
+    `best` holds the winner of the exact rows before, if any."""
+    for name, p in terms:
+        acc = acc + p * lookup(name)
+    totals = [acc] + [nsum(p * lookup(name) for name, p in row) for _, row in rows]
+    return ONE + _sup(best + totals)
+
+
+def _sup(items: list) -> Number:
+    """The first largest of `items` by central value if its lower end is at
+    or above every other's upper end, as it is among exact items, else a
+    float enclosure [max lo, max hi] of the max, rounded outward."""
+    i = max(range(len(items)), key=lambda k: items[k].value)
+    los = [Fraction(x.value) - Fraction(x.err) for x in items]
+    his = [Fraction(x.value) + Fraction(x.err) for x in items]
+    if all(los[i] >= h for k, h in enumerate(his) if k != i):
+        return items[i]
+    lo, hi = max(los), max(his)
+    mid = float((lo + hi) / 2)
+    return Number.approx(mid, _round_up(max(hi - Fraction(mid), Fraction(mid) - lo)))
 
 
 def bellman_apply(model: MdpModel, w: ValueFunction, support) -> ValueFunction:
@@ -175,7 +234,7 @@ def uniformity_report(
     sup_row = []
     for n in range(n_max + 1):
         col = [row[n] for row in rows]
-        sup_row.append(max(col, key=lambda v: v.value))
+        sup_row.append(_sup(col))
 
     witness = None
     half = (n_max + 1) // 2

@@ -17,10 +17,13 @@ from absorbing_mdp import (
     ValueFunction,
     bellman_apply,
     deterministic_stationary,
+    nsum,
     uniformity_report,
     value_iterate,
     verify_supersolution,
 )
+
+from absorbing_mdp.absorption import _sup
 
 from conftest import chain_model
 
@@ -91,6 +94,37 @@ def test_value_iteration_steps_are_monotone(chain):
         for n in SUPPORT:
             assert prev.values[n] <= nxt.values[n] <= CHAIN_STAR[n]
         prev = ValueFunction(values=nxt.values)
+
+
+def test_overlapping_float_rows_give_an_enclosure_of_the_max(chain):
+    # at A the fwd row is w(B) = 2.0 +- 0.1 and the stall row w(A)/2 is
+    # 1.9 +- 0.5: fwd wins by central value, but stall may be larger
+    w = ValueFunction(values={"A": Number.approx(3.8, 1.0), "B": Number.approx(2.0, 0.1)})
+    tw = bellman_apply(chain, w, ("A",)).values["A"]
+    rows = [ONE * w.values["B"], HALF * w.values["A"] + HALF * Number.exact(0)]
+    lo = max(F(r.value) - F(r.err) for r in rows)
+    hi = max(F(r.value) + F(r.err) for r in rows)
+    assert F(tw.value) - F(tw.err) <= 1 + lo
+    assert F(tw.value) + F(tw.err) >= 1 + hi
+
+
+def test_a_certain_float_winner_is_kept_unchanged(chain):
+    w = ValueFunction(values={"A": Number.approx(3.8, 1.0), "B": Number.approx(3.0, 0.1)})
+    tw = bellman_apply(chain, w, ("A",)).values["A"]
+    want = ONE + nsum([ONE * w.values["B"]])
+    assert (tw.value, tw.err) == (want.value, want.err)
+
+
+def test_sup_encloses_only_an_uncertain_max():
+    exact = [Number.exact(1, 3), Number.exact(1, 2)]
+    assert _sup(exact) is exact[1]
+    certain = [Number.approx(1.0, 0.1), Number.exact(1, 2)]
+    assert _sup(certain) is certain[0]
+    # the central winner 1.0 +- 0.1 ends below 0.95 + 0.2
+    mixed = [Number.approx(1.0, 0.1), Number.approx(0.95, 0.2)]
+    got = _sup(mixed)
+    assert F(got.value) - F(got.err) <= F(0.9)
+    assert F(got.value) + F(got.err) >= F(0.95) + F(0.2)
 
 
 # -- uniformity tables -----------------------------------------------------

@@ -5,7 +5,9 @@ rows; `occupation._route` sends each weighted term of a row to the cemetery,
 the frontier or play.  The four loops they replaced are kept below, verbatim
 but for their names, as the reference: the unroll stage `_step`, the atomic
 prefix stage `_atomic_step`, the tail's `_tail_transitions` and the
-hitting-time operator's `_successor_rows`.  On random atom models that mix
+hitting-time operator's `_successor_rows`, whose max over rows is now the
+certified one: the central winner when its interval ends at or above every
+other row's, else an enclosure of the max.  On random atom models that mix
 exact and float probabilities, action mixtures, diffuse rules, frontier
 atoms (the cemetery among them), zero entries and repeated targets, the new
 code must give the same parts in the same order, equal exact values and
@@ -61,6 +63,7 @@ from absorbing_mdp.numbers import ONE, ZERO, nsum
 from absorbing_mdp.occupation import (
     SolverError,
     _atomic_step,
+    _round_up,
     _step,
     _tail_transitions,
 )
@@ -263,11 +266,24 @@ def ref_successor_rows(model, atom):
 
 def ref_apply_at(model, lookup, atom):
     best = None
+    totals = []
     for _, row in ref_successor_rows(model, atom):
         total = nsum(p * lookup(name) for name, p in row)
+        totals.append(total)
         if best is None or total > best:
             best = total
-    return ONE + best
+    return ONE + certified_max(best, totals)
+
+
+def certified_max(best, totals):
+    """`best` when its lower end is at or above every other row's upper
+    end, else the enclosure [max lo, max hi] of the max, rounded outward."""
+    ends = [(F(t.value) - F(t.err), F(t.value) + F(t.err)) for t in totals]
+    if all(F(best.value) - F(best.err) >= hi for t, (_, hi) in zip(totals, ends) if t is not best):
+        return best
+    lo, hi = max(lo for lo, _ in ends), max(hi for _, hi in ends)
+    mid = float((lo + hi) / 2)
+    return Number.approx(mid, _round_up(max(hi - F(mid), F(mid) - lo)))
 
 
 # -- random atom models ----------------------------------------------------
