@@ -77,7 +77,6 @@ from .absorption import (
     ValueFunction,
     bellman_apply,
     uniformity_report,
-    value_iterate,
     verify_supersolution,
 )
 from .topology import (
@@ -130,7 +129,7 @@ __all__ = [
     "UnrollResidualError", "expected_hitting_time", "occupation_countable",
     "occupation_unroll", "survival_probs", "tail_sum",
     "AbsorptionReport", "ValueFunction", "bellman_apply",
-    "uniformity_report", "value_iterate", "verify_supersolution",
+    "uniformity_report", "verify_supersolution",
     "BatteryError", "ConvergenceReport", "TestBattery", "check_convergence",
     "determinism_defect", "make_battery", "multi_initial_check",
     "ZOO", "Claim", "ZooEntry", "load_zoo",

@@ -2,11 +2,12 @@
 
 The Bellman operator here is the one for worst-case expected time to
 absorption: (Tw)(x) = 1 + max over actions of the expected value of w at
-the successor, with w pinned to zero at the cemetery.  Value iteration from
-zero is monotone and converges to the least fixed point on the truncated
-support (successors outside the support count as zero).  Exact rows are
-summed on integers, zero values skipped; inexact rows keep `Number`
-arithmetic, and a max over overlapping intervals is an enclosure.
+the successor, with w pinned to zero at the cemetery.  Iterating
+`bellman_apply` from zero, with successors outside the support counting as
+zero, is monotone and converges to the least fixed point on that truncated
+support.  Exact rows are summed on integers, zero values skipped; inexact
+rows keep `Number` arithmetic, and a max over overlapping intervals is an
+enclosure.
 
 `uniformity_report` tabulates tail sums over a strategy family.  Its
 verdict is honest about finite evidence: a certified witness cell proves
@@ -17,19 +18,18 @@ else is inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from .numbers import Number, ZERO, ONE, _exact, _frac, nsum
+from .numbers import Number, ZERO, ONE, _exact, _frac, _round_up, nsum
 from .mdp import FiniteActions, MdpModel, ModelError, StrategyFamily
 from .occupation import (
     _ACTION_DENSITY,
     SolverError,
     Truncation,
     _atom_rows,
-    _round_up,
     expected_hitting_time,
     occupation_countable,
     survival_probs,
@@ -71,6 +71,7 @@ def _apply_at(model: MdpModel, lookup: Callable[[str], Number], atom: str) -> Nu
     pairs = ((a, None) for a in model.actions.names)
     rows = iter(_atom_rows(model, model.states.point(atom), pairs))
     bn, bd = None, 1
+    # rows summed inline: `measure._exact_sum` per row made verify 1.2-1.8x slower
     for _, row in rows:
         n, d = 0, 1
         terms = iter(row)
@@ -136,27 +137,6 @@ def bellman_apply(model: MdpModel, w: ValueFunction, support) -> ValueFunction:
     for atom in support:
         out[atom] = _apply_at(model, w.value_at, atom)
     return ValueFunction(out, cemetery=model.states.cemetery)
-
-
-def value_iterate(model: MdpModel, support, iters: int):
-    """Iterate from zero on the truncated support: successors outside the
-    support (and the cemetery) count as zero.  Returns the final iterate and
-    the last per-state increments.  The iterates increase monotonically."""
-    support = list(support)
-    inside = set(support) | {model.states.cemetery}
-    values = {a: ZERO for a in support}
-
-    def lookup(name: str) -> Number:
-        if name == model.states.cemetery or name not in inside:
-            return ZERO
-        return values[name]
-
-    gaps = {a: ZERO for a in support}
-    for _ in range(iters):
-        new = {a: _apply_at(model, lookup, a) for a in support}
-        gaps = {a: new[a] - values[a] for a in support}
-        values = new
-    return ValueFunction(values, cemetery=model.states.cemetery), gaps
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,15 @@ def _parse_x0(space, text: str) -> StatePoint:
         raise CliInputError(str(exc)) from exc
 
 
+def _x0(args, model, default: StatePoint | None) -> StatePoint:
+    """The initial state: `--x0` if given, else the instance's default."""
+    if args.x0:
+        return _parse_x0(model.states, args.x0)
+    if default is None:
+        raise CliInputError("this model has no default initial state; pass --x0")
+    return default
+
+
 def _lookup(table: dict, kind: str, name: str):
     if name not in table:
         have = ", ".join(sorted(table)) or "none"
@@ -114,11 +123,16 @@ def _resolve_strategy(strategies, families, name: str):
         label, _, idx = name.rpartition(":")
         fam = families.get(label)
         if fam is not None and fam.generator is not None and idx.lstrip("-").isdigit():
-            if fam.index_lo is not None and int(idx) < fam.index_lo:
+            k = int(idx)
+            if fam.index_lo is not None and k < fam.index_lo:
                 raise CliInputError(
                     f"strategy {name!r}: family {label!r} starts at index {fam.index_lo}"
                 )
-            return fam.generator(int(idx))
+            if fam.index_hi is not None and k > fam.index_hi:
+                raise CliInputError(
+                    f"strategy {name!r}: family {label!r} ends at index {fam.index_hi}"
+                )
+            return fam.generator(k)
     return _lookup(strategies, "strategy", name)
 
 
@@ -131,35 +145,28 @@ def _checked(model, name: str, strategy):
     return strategy
 
 
-def _positive_number(text: str) -> Fraction:
-    """argparse type: a finite value > 0, as 'p/q', an integer or a decimal."""
-    try:
-        n = parse_number(text)
-    except (ValueError, ZeroDivisionError):
-        n = None
-    if n is None or not n.value > 0:
-        raise argparse.ArgumentTypeError(f"need a finite positive number, got {text!r}")
-    return n.value if n.is_exact else Fraction(float(n.value))
+def _arg_type(parse, ok, need: str):
+    """argparse type: `parse(text)` when it parses and `ok` accepts it,
+    else refused as 'need <need>, got <text>'."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"need a finite positive number, got {text!r}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"need a nonnegative integer, got {text!r}")
-    return value
+# --eps: 'p/q', an integer or a finite decimal, as a Fraction
+_positive_number = _arg_type(
+    lambda t: Fraction(parse_number(t).value), lambda v: v > 0, "a finite positive number"
+)
+_positive_float = _arg_type(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
+_nonnegative_int = _arg_type(int, lambda v: v >= 0, "a nonnegative integer")
 
 
 def _trunc(args) -> Truncation:
@@ -264,12 +271,7 @@ def cmd_occupation(args) -> int:
             print(f"  {d}", file=sys.stderr)
         return 1
     strategy = _checked(model, args.strategy, _resolve_strategy(strategies, families, args.strategy))
-    if args.x0:
-        x0 = _parse_x0(model.states, args.x0)
-    elif default_x0 is not None:
-        x0 = default_x0
-    else:
-        raise CliInputError("this model has no default initial state; pass --x0")
+    x0 = _x0(args, model, default_x0)
 
     solver = args.solver
     if solver == "unroll" or (solver == "auto" and args.horizon is not None):
@@ -330,9 +332,7 @@ def cmd_occupation(args) -> int:
 def cmd_absorption(args) -> int:
     model, strategies, _, families, default_x0, source = _load_model(args)
     family = _lookup(families, "family", args.family)
-    x0 = _parse_x0(model.states, args.x0) if args.x0 else default_x0
-    if x0 is None:
-        raise CliInputError("this model has no default initial state; pass --x0")
+    x0 = _x0(args, model, default_x0)
     rep = uniformity_report(
         model,
         family,
@@ -372,7 +372,7 @@ def cmd_convergence(args) -> int:
     family = _lookup(families, "family", args.family)
     limit_strategy = _checked(model, args.limit, _resolve_strategy(strategies, families, args.limit))
     members = [_checked(model, name, s) for name, s in family.explored()]
-    x0 = _parse_x0(model.states, args.x0) if args.x0 else default_x0
+    x0 = _x0(args, model, default_x0)
 
     def occupy(strategy):
         if args.horizon is not None:

@@ -20,18 +20,17 @@ including piecewise-constant selectors on segments.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .numbers import Number, ZERO, ONE, nsum
+from .numbers import Number, ONE, _negative, nsum
 from .measure import (
     ActionAtom,
     ActionDensity,
     ActionMixture,
     ActionPart,
-    MeasureError,
     StateAtom,
     StateDensity,
     StatePart,
@@ -174,11 +173,6 @@ def resolve_rule(model: MdpModel, part: StatePart) -> KernelRule | str:
 # -- validation ------------------------------------------------------------
 
 
-def _negative(p: Number) -> bool:
-    """Whether p is negative: exactly, or by more than its err."""
-    return p.value < 0 if p.is_exact else float(p.value) < -float(p.err)
-
-
 def _unit_diag(total: Number, where: str, what: str, diags: list) -> None:
     """Flag a total that is not 1: exactly, or beyond 1e-9 when inexact."""
     if total.is_exact:
@@ -186,6 +180,16 @@ def _unit_diag(total: Number, where: str, what: str, diags: list) -> None:
             diags.append(f"{where}: {what} {total.value}, not 1")
     elif not total.within(1, 1e-9):
         diags.append(f"{where}: {what} {float(total.value)}, not 1")
+
+
+def _target_diags(pairs, atom_names, where: str, diags: list) -> None:
+    """Flag the unknown atoms and negative probabilities of (target atom,
+    probability) pairs."""
+    for name, p in pairs:
+        if name not in atom_names:
+            diags.append(f"{where}: unknown target atom {name!r}")
+        if _negative(p):
+            diags.append(f"{where}: negative probability on {name!r}")
 
 
 def validate_model(model: MdpModel) -> list[str]:
@@ -221,14 +225,8 @@ def _diagnose(model: MdpModel) -> list[str]:
             diags.append(f"{where}: unknown source atom")
         if isinstance(actions, FiniteActions) and act not in actions.names:
             diags.append(f"{where}: unknown action")
-        total = ZERO
-        for nxt, p in row:
-            if nxt not in atom_names:
-                diags.append(f"{where}: unknown target atom {nxt!r}")
-            if _negative(p):
-                diags.append(f"{where}: negative probability on {nxt!r}")
-            total = total + p
-        _unit_diag(total, where, "probabilities sum to", diags)
+        _target_diags(row, atom_names, where, diags)
+        _unit_diag(nsum(p for _, p in row), where, "probabilities sum to", diags)
 
     for i, rule in enumerate(kernel.rules):
         where = f"rule[{i}]"
@@ -253,11 +251,7 @@ def _diagnose(model: MdpModel) -> list[str]:
                 if min(imgs) < seg.lo or max(imgs) > seg.hi:
                     diags.append(f"{where}: affine image escapes segment {rule.segment!r}")
         else:
-            for name, p in rule.atom_probs:
-                if name not in atom_names:
-                    diags.append(f"{where}: unknown target atom {name!r}")
-                if _negative(p):
-                    diags.append(f"{where}: negative probability on {name!r}")
+            _target_diags(rule.atom_probs, atom_names, where, diags)
             for label, breaks, heights in rule.pieces:
                 if any(map(_negative, heights)):
                     diags.append(f"{where}: negative probability on {label!r}")

@@ -80,7 +80,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .memo import remembered
-from .numbers import Number, ZERO, ONE, nsum
+from .numbers import Number, ZERO, ONE, _negative, nsum
 from .quadrature import adaptive_quadrature, kronrod_quadrature, QuadratureError
 from .spaces import (
     ActionSpace,
@@ -104,13 +104,6 @@ class CoverageError(KeyError):
     """A structured form was asked about a point it does not cover."""
 
 
-def _lift_pos(x) -> Number:
-    """Positions denote themselves: float coords carry no uncertainty."""
-    if isinstance(x, (int, Fraction)):
-        return Number.lift(x)
-    return Number.approx(x, 0.0)
-
-
 def _wrap_value(v) -> Number:
     if isinstance(v, Number):
         return v
@@ -130,17 +123,15 @@ def _check_pieces(breaks, heights, where: str):
     for h in heights:
         if not isinstance(h, Number):
             raise MeasureError(f"{where}: heights must be Numbers")
-        if h.is_exact:
-            if h.value < 0:
-                raise MeasureError(f"{where}: negative height")
-        elif float(h.value) < -float(h.err):
+        if _negative(h):
             raise MeasureError(f"{where}: negative height")
 
 
 def _pieces_mass(breaks, heights) -> Number:
     total = ZERO
     for a, b, h in zip(breaks, breaks[1:], heights):
-        total = total + h * (_lift_pos(b) - _lift_pos(a))
+        # positions denote themselves: float coords carry no uncertainty
+        total = total + h * (_wrap_value(b) - _wrap_value(a))
     return total
 
 
@@ -290,10 +281,7 @@ def _trusted(cls, **fields):
 def _validate_weight(w: Number, where: str):
     if not isinstance(w, Number):
         raise MeasureError(f"{where}: weight must be a Number")
-    if w.is_exact:
-        if w.value < 0:
-            raise MeasureError(f"{where}: negative weight")
-    elif float(w.value) < -float(w.err):
+    if _negative(w):
         raise MeasureError(f"{where}: negative weight")
 
 

@@ -29,6 +29,11 @@ subclass.  A value is a `Fraction` or a float
 and nothing else, so the dispatch asks `isinstance(x, float)`, a plain type
 check, rather than `isinstance(x, Fraction)`, which runs the instance check
 of `Fraction`'s abstract base class.
+
+The interval helpers the other modules share live here too: `_negative`,
+the one sign test of a weight, height or probability (negative exactly, or
+by more than its err), and `_round_up`, which rounds an exact bound up to
+a float.
 """
 
 from __future__ import annotations
@@ -360,6 +365,17 @@ def _prod(na: int, da: int, nb: int, db: int) -> Fraction:
 
 ZERO = Number.exact(0)
 ONE = Number.exact(1)
+
+
+def _negative(p: Number) -> bool:
+    """Whether p is negative: exactly, or by more than its err."""
+    return p.value < 0 if p.is_exact else float(p.value) < -float(p.err)
+
+
+def _round_up(x: Fraction) -> float:
+    """The least float at or above x."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
 def nsum(items) -> Number:

@@ -50,13 +50,12 @@ on every call.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .memo import remembered
-from .numbers import Number, ZERO, ONE, nsum
+from .numbers import Number, ZERO, ONE, _round_up, nsum
 from .measure import (
     ActionAtom,
     ActionMixture,
@@ -138,12 +137,6 @@ def _widened(x: Number, extra: Number) -> Number:
         + Fraction(extra.err)
     )
     return Number.approx(v, _round_up(err))
-
-
-def _round_up(x: Fraction) -> float:
-    """The least float at or above x."""
-    f = float(x)
-    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
 _ACTION_DENSITY = "atomic dynamics cannot draw from an action density"

@@ -64,8 +64,7 @@ def enc_number(n: Number):
 
 def dec_number(v) -> Number:
     if isinstance(v, str):
-        p, _, q = v.partition("/")
-        return Number.exact(int(p), int(q) if q else 1)
+        return Number(dec_pos(v))
     if isinstance(v, dict):
         return Number.approx(float(v["f"]), float(v.get("err", 0.0)))
     raise FormatError(f"bad number encoding {v!r}")

@@ -35,15 +35,14 @@ from .measure import (
     HybridMeasure,
     MeasureError,
     StateAtom,
-    StateDensity,
     TestFunction,
     _cell_table,
     integrate,
     marginal_state,
 )
-from .mdp import MdpModel, Strategy
+from .mdp import MdpModel
 from .occupation import occupation_unroll
-from .spaces import FiniteActions, IntervalActions, StatePoint, StateSpace
+from .spaces import FiniteActions, StateSpace
 
 DEFAULT_TOPOLOGY_TOL = 1e-9
 _CONTINUITY_ABS = 1e-9

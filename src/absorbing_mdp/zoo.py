@@ -141,6 +141,40 @@ def atom_masses(measure: HybridMeasure) -> dict:
     return out
 
 
+def _validated(model: MdpModel) -> str:
+    """"ok" for a model with clean diagnostics, else the diagnostics."""
+    diags = validate_model(model)
+    return "ok" if not diags else "; ".join(diags)
+
+
+def _rejects_indicator(name: str, atom: str, space, actions) -> str:
+    """Whether a w battery rejects the indicator of `atom` declared continuous."""
+    bad = TestFunction(name, CONTINUOUS, lambda p: 1 if p.atom == atom else 0, F(1), arity="state")
+    try:
+        make_battery("bad", "w", (bad,), space, actions)
+    except BatteryError:
+        return "rejected"
+    return "accepted"
+
+
+# the polynomials x, x^2 and 1 on [0, 1], shared by example1 and remark1
+_X_POLY = PiecewisePoly((F(0), F(1)), ((F(0), F(1)),))
+_X2_POLY = PiecewisePoly((F(0), F(1)), ((F(0), F(0), F(1)),))
+_ONE_POLY = PiecewisePoly((F(0), F(1)), ((F(1),),))
+
+
+def _coord(p: StatePoint):
+    return p.coord if p.coord is not None else F(0)
+
+
+# the continuous state functions of example2's and remark2's w batteries
+_STATE_W_FUNCS = (
+    TestFunction("unit", CONTINUOUS, lambda p: 1, F(1), arity="state"),
+    TestFunction("coordinate", CONTINUOUS, _coord, F(1), arity="state"),
+    TestFunction("coordinate-squared", CONTINUOUS, lambda p: _coord(p) ** 2, F(1), arity="state"),
+)
+
+
 # -- example 1: two-step continuum model -----------------------------------
 
 
@@ -183,7 +217,7 @@ def example1(mu: ActionDensity | None = None) -> ZooEntry:
     x0 = space.segment_point("0", F(0))
     if mu is None:
         mu = ActionDensity((F(0), F(1)), (ONE,))
-    mu_mean = _density_poly_integral(mu, PiecewisePoly((F(0), F(1)), ((F(0), F(1)),)))
+    mu_mean = _density_poly_integral(mu, _X_POLY)
 
     def second_stage() -> StageKernel:
         return StageKernel((StrategyRule(dist=mu),))
@@ -200,37 +234,33 @@ def example1(mu: ActionDensity | None = None) -> ZooEntry:
 
     family = StrategyFamily(label="spread_first", index_lo=1, index_hi=20, generator=spread_first)
 
-    x_poly = PiecewisePoly((F(0), F(1)), ((F(0), F(1)),))
-    x2_poly = PiecewisePoly((F(0), F(1)), ((F(0), F(0), F(1)),))
-    one_poly = PiecewisePoly((F(0), F(1)), ((F(1),),))
     zero_poly = PiecewisePoly((F(0), F(1)), ((F(0),),))
-    a_poly = x_poly
     half_ramp = PiecewisePoly((F(0), F(1)), ((F(1, 2), F(1, 2)),))  # (1+a)/2
     pos_poly = PiecewisePoly((F(0), F(1)), ((F(1),),), knots=(F(0), F(1)))  # 1{x>0}
 
     af1 = ActionFactor(const=F(1))
     sf_one = StateFactor(
-        segment_polys=(("0", one_poly), ("1", one_poly)), atom_values=(("Delta", F(1)),)
+        segment_polys=(("0", _ONE_POLY), ("1", _ONE_POLY)), atom_values=(("Delta", F(1)),)
     )
-    sf_x = _ex1_sf(x_poly, x_poly)
-    sf_x2 = _ex1_sf(x2_poly, x2_poly)
-    sf_seg1 = _ex1_sf(zero_poly, one_poly)
+    sf_x = _ex1_sf(_X_POLY, _X_POLY)
+    sf_x2 = _ex1_sf(_X2_POLY, _X2_POLY)
+    sf_seg1 = _ex1_sf(zero_poly, _ONE_POLY)
     sf_pos = _ex1_sf(pos_poly, pos_poly)
 
     w_funcs = (
         structured_joint_function("unit", CONTINUOUS, ((sf_one, af1),), F(1)),
         structured_joint_function("second-coordinate", CONTINUOUS, ((sf_x, af1),), F(1)),
         structured_joint_function(
-            "action-coordinate", CONTINUOUS, ((sf_one, ActionFactor(poly=a_poly)),), F(1)
+            "action-coordinate", CONTINUOUS, ((sf_one, ActionFactor(poly=_X_POLY)),), F(1)
         ),
         structured_joint_function(
             "coordinate-plus-action",
             CONTINUOUS,
-            ((sf_x, af1), (sf_one, ActionFactor(poly=a_poly))),
+            ((sf_x, af1), (sf_one, ActionFactor(poly=_X_POLY))),
             F(2),
         ),
         structured_joint_function(
-            "coordinate-times-action", CONTINUOUS, ((sf_x, ActionFactor(poly=a_poly)),), F(1)
+            "coordinate-times-action", CONTINUOUS, ((sf_x, ActionFactor(poly=_X_POLY)),), F(1)
         ),
         structured_joint_function("second-coordinate-squared", CONTINUOUS, ((sf_x2, af1),), F(1)),
         structured_joint_function("on-second-segment", CONTINUOUS, ((sf_seg1, af1),), F(1)),
@@ -253,13 +283,6 @@ def example1(mu: ActionDensity | None = None) -> ZooEntry:
         return occupation_unroll(model, spread_first(m), x0, 2)
 
     occ_limit = lambda: occupation_unroll(model, point_first, x0, 2)
-
-    def claim_validate():
-        diags = validate_model(model)
-        return "ok" if not diags else "; ".join(diags)
-
-    def claim_condition():
-        return check_condition_s(model).status
 
     def claim_condition_jump():
         chk = check_condition_s(model)
@@ -322,12 +345,12 @@ def example1(mu: ActionDensity | None = None) -> ZooEntry:
         return integrate(occ_limit().measure, plus)
 
     claims = (
-        Claim("E1.validate", "model diagnostics are clean", "ok", claim_validate),
+        Claim("E1.validate", "model diagnostics are clean", "ok", lambda: _validated(model)),
         Claim(
             "E1.condition",
             "strong action-continuity of the kernel fails",
             "fails",
-            claim_condition,
+            lambda: check_condition_s(model).status,
         ),
         Claim(
             "E1.condition.jump",
@@ -502,14 +525,8 @@ def example2(depth: int = 64) -> ZooEntry:
     )
     candidate = _ex2_candidate(depth)
 
-    def coord(p: StatePoint):
-        return p.coord if p.coord is not None else F(0)
-
-    w_funcs = (
-        TestFunction("unit", CONTINUOUS, lambda p: 1, F(1), arity="state"),
-        TestFunction("coordinate", CONTINUOUS, coord, F(1), arity="state"),
-        TestFunction("coordinate-squared", CONTINUOUS, lambda p: coord(p) ** 2, F(1), arity="state"),
-        TestFunction("distance-to-limit", CONTINUOUS, lambda p: 1 - coord(p), F(1), arity="state"),
+    w_funcs = _STATE_W_FUNCS + (
+        TestFunction("distance-to-limit", CONTINUOUS, lambda p: 1 - _coord(p), F(1), arity="state"),
     )
     s_funcs = (
         TestFunction(
@@ -526,13 +543,6 @@ def example2(depth: int = 64) -> ZooEntry:
 
     def occ(strategy) -> tuple:
         return occupation_countable(model, strategy, x0, Truncation(states=depth + 4))
-
-    def claim_validate():
-        diags = validate_model(model)
-        return "ok" if not diags else "; ".join(diags)
-
-    def claim_condition():
-        return check_condition_s(model).status
 
     def claim_survival_one():
         return survival_probs(model, always_branch, x0, 1)[1]
@@ -569,27 +579,25 @@ def example2(depth: int = 64) -> ZooEntry:
             return "limit-state mass outside the certified bound"
         return "certified"
 
+    support = [f"b{n}" for n in range(1, depth + 1)] + ["1"]
+
+    def scaled(c: Number) -> ValueFunction:
+        """The candidate times c, its fallback included."""
+        fb = candidate.fallback
+        return ValueFunction(
+            {k: v * c for k, v in candidate.values.items()},
+            cemetery="Delta",
+            fallback=lambda name: None if fb(name) is None else fb(name) * c,
+        )
+
     def claim_bellman_fixed():
-        support = [f"b{n}" for n in range(1, depth + 1)] + ["1"]
         return verify_supersolution(model, candidate, support).kind
 
     def claim_bellman_up():
-        doubled = ValueFunction(
-            {k: v * 2 for k, v in candidate.values.items()},
-            cemetery="Delta",
-            fallback=lambda name: None if candidate.fallback(name) is None else candidate.fallback(name) * 2,
-        )
-        support = [f"b{n}" for n in range(1, depth + 1)] + ["1"]
-        return verify_supersolution(model, doubled, support).kind
+        return verify_supersolution(model, scaled(Number.exact(2)), support).kind
 
     def claim_bellman_down():
-        halved = ValueFunction(
-            {k: v / Number.exact(2) for k, v in candidate.values.items()},
-            cemetery="Delta",
-            fallback=lambda name: None if candidate.fallback(name) is None else candidate.fallback(name) / Number.exact(2),
-        )
-        support = [f"b{n}" for n in range(1, depth + 1)] + ["1"]
-        res = verify_supersolution(model, halved, support)
+        res = verify_supersolution(model, scaled(Number.exact(1, 2)), support)
         return f"{res.kind}@{res.state}"
 
     def claim_tail_family():
@@ -614,29 +622,13 @@ def example2(depth: int = 64) -> ZooEntry:
         seq, lim = _marginals()
         return check_convergence(seq, lim, batteries["w-coord"], tol=1e-3).verdict
 
+    def _s_report():
+        seq, lim = _marginals()
+        return check_convergence(seq, lim, batteries["s-indicator"], tol=1e-3)
+
     def claim_s_marginals():
-        seq, lim = _marginals()
-        rep = check_convergence(seq, lim, batteries["s-indicator"], tol=1e-3)
+        rep = _s_report()
         return f"{rep.verdict}:{rep.witness}"
-
-    def claim_s_gap():
-        seq, lim = _marginals()
-        rep = check_convergence(seq, lim, batteries["s-indicator"], tol=1e-3)
-        return rep.witness_gap
-
-    def claim_w_rejects():
-        bad = TestFunction(
-            "at-limit-atom-continuous",
-            CONTINUOUS,
-            lambda p: 1 if p.atom == "1" else 0,
-            F(1),
-            arity="state",
-        )
-        try:
-            make_battery("bad", "w", (bad,), space, model.actions)
-        except BatteryError:
-            return "rejected"
-        return "accepted"
 
     def claim_unroll_rejects():
         try:
@@ -700,12 +692,12 @@ def example2(depth: int = 64) -> ZooEntry:
         return "dominated"
 
     claims = (
-        Claim("E2.validate", "model diagnostics are clean", "ok", claim_validate),
+        Claim("E2.validate", "model diagnostics are clean", "ok", lambda: _validated(model)),
         Claim(
             "E2.condition",
             "finite actions settle the compactness-continuity conditions",
             "holds_trivially",
-            claim_condition,
+            lambda: check_condition_s(model).status,
         ),
         Claim(
             "E2.survival.one",
@@ -792,14 +784,14 @@ def example2(depth: int = 64) -> ZooEntry:
             "E2.convergence.s.gap",
             "the setwise gap at the limit atom is 1/2",
             F(1, 2),
-            claim_s_gap,
+            lambda: _s_report().witness_gap,
             tol=1e-9,
         ),
         Claim(
             "E2.w.rejects-indicator",
             "declaring the limit-atom indicator continuous is rejected by the battery check",
             "rejected",
-            claim_w_rejects,
+            lambda: _rejects_indicator("at-limit-atom-continuous", "1", space, model.actions),
         ),
         Claim(
             "E2.unroll.rejects",
@@ -898,19 +890,16 @@ def remark1(depth: int = 12) -> ZooEntry:
 
     family = StrategyFamily(label="alternating", index_lo=1, index_hi=depth, generator=alternating)
 
-    x_poly = PiecewisePoly((F(0), F(1)), ((F(0), F(1)),))
-    x2_poly = PiecewisePoly((F(0), F(1)), ((F(0), F(0), F(1)),))
-    one_poly = PiecewisePoly((F(0), F(1)), ((F(1),),))
     upper_poly = PiecewisePoly((F(0), F(1, 3), F(1)), ((F(0),), (F(1),)), knots=(F(0), F(0), F(1)))
 
     sf_one = StateFactor(
-        segment_polys=(("unit", one_poly),), atom_values=(("start", F(1)), ("Delta", F(0)))
+        segment_polys=(("unit", _ONE_POLY),), atom_values=(("start", F(1)), ("Delta", F(0)))
     )
     sf_x = StateFactor(
-        segment_polys=(("unit", x_poly),), atom_values=(("start", F(0)), ("Delta", F(0)))
+        segment_polys=(("unit", _X_POLY),), atom_values=(("start", F(0)), ("Delta", F(0)))
     )
     sf_x2 = StateFactor(
-        segment_polys=(("unit", x2_poly),), atom_values=(("start", F(0)), ("Delta", F(0)))
+        segment_polys=(("unit", _X2_POLY),), atom_values=(("start", F(0)), ("Delta", F(0)))
     )
     sf_upper = StateFactor(
         segment_polys=(("unit", upper_poly),), atom_values=(("start", F(0)), ("Delta", F(0)))
@@ -958,13 +947,6 @@ def remark1(depth: int = 12) -> ZooEntry:
         "flipped-coordinate-times-action": Number.exact(1, 4),
     }
 
-    def claim_validate():
-        diags = validate_model(model)
-        return "ok" if not diags else "; ".join(diags)
-
-    def claim_condition():
-        return check_condition_s(model).status
-
     def claim_times():
         for k in range(1, depth + 1):
             if expected_hitting_time(occ_alternating(k)) != Number.exact(2):
@@ -1003,12 +985,12 @@ def remark1(depth: int = 12) -> ZooEntry:
         return f"ws:{ws},w:{w}"
 
     claims = (
-        Claim("R1.validate", "model diagnostics are clean", "ok", claim_validate),
+        Claim("R1.validate", "model diagnostics are clean", "ok", lambda: _validated(model)),
         Claim(
             "R1.condition",
             "finite actions settle the compactness-continuity conditions",
             "holds_trivially",
-            claim_condition,
+            lambda: check_condition_s(model).status,
         ),
         Claim(
             "R1.time.family",
@@ -1094,30 +1076,18 @@ def remark2(depth: int = 50) -> ZooEntry:
     only = deterministic_stationary(default="act")
     x0 = space.point("1/1")
 
-    def coord(p: StatePoint):
-        return p.coord if p.coord is not None else F(0)
-
-    w_funcs = (
-        TestFunction("unit", CONTINUOUS, lambda p: 1, F(1), arity="state"),
-        TestFunction("coordinate", CONTINUOUS, coord, F(1), arity="state"),
-        TestFunction("coordinate-squared", CONTINUOUS, lambda p: coord(p) ** 2, F(1), arity="state"),
-    )
     ws_funcs = (
         TestFunction(
             "at-limit", CARATHEODORY, lambda p: 1 if p.atom == "0" else 0, F(1), arity="state"
         ),
     )
     batteries = {
-        "w-coord": make_battery("w-coord", "w", w_funcs, space, actions),
+        "w-coord": make_battery("w-coord", "w", _STATE_W_FUNCS, space, actions),
         "ws-witness": make_battery("ws-witness", "ws", ws_funcs, space, actions),
     }
 
     pairs = [(space.point(f"1/{n}"), only) for n in range(1, depth + 1)]
     limit_pair = (space.point("0"), only)
-
-    def claim_validate():
-        diags = validate_model(model)
-        return "ok" if not diags else "; ".join(diags)
 
     def claim_isolated():
         return f"{is_isolated(space, '1/7')}-{is_isolated(space, '0')}"
@@ -1139,34 +1109,17 @@ def remark2(depth: int = 50) -> ZooEntry:
             model, pairs, limit_pair, batteries["w-coord"], tol=0.05, horizon=1
         ).verdict
 
-    def claim_multi_ws():
-        rep = multi_initial_check(
+    def _ws_report():
+        return multi_initial_check(
             model, pairs, limit_pair, batteries["ws-witness"], tol=0.05, horizon=1
         )
+
+    def claim_multi_ws():
+        rep = _ws_report()
         return f"{rep.verdict}:{rep.witness}"
 
-    def claim_ws_gap():
-        rep = multi_initial_check(
-            model, pairs, limit_pair, batteries["ws-witness"], tol=0.05, horizon=1
-        )
-        return rep.witness_gap
-
-    def claim_w_rejects():
-        bad = TestFunction(
-            "at-limit-continuous",
-            CONTINUOUS,
-            lambda p: 1 if p.atom == "0" else 0,
-            F(1),
-            arity="state",
-        )
-        try:
-            make_battery("bad", "w", (bad,), space, actions)
-        except BatteryError:
-            return "rejected"
-        return "accepted"
-
     claims = (
-        Claim("R2.validate", "model diagnostics are clean", "ok", claim_validate),
+        Claim("R2.validate", "model diagnostics are clean", "ok", lambda: _validated(model)),
         Claim(
             "R2.topology",
             "1/7 is isolated and 0 is not",
@@ -1197,13 +1150,13 @@ def remark2(depth: int = 50) -> ZooEntry:
             "R2.multi.ws.gap",
             "the refuting gap is exactly 1",
             F(1),
-            claim_ws_gap,
+            lambda: _ws_report().witness_gap,
         ),
         Claim(
             "R2.w.rejects-indicator",
             "declaring the limit-state indicator continuous is rejected",
             "rejected",
-            claim_w_rejects,
+            lambda: _rejects_indicator("at-limit-continuous", "0", space, actions),
         ),
     )
 

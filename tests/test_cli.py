@@ -349,16 +349,26 @@ def test_module_entry_passes_exit_code_through():
 BAD_INPUTS = {
     "family-index-below-range": (
         ["occupation", "--zoo", "example1", "--strategy", "spread_first:0"],
-        "starts at index 1",
+        "strategy 'spread_first:0': family 'spread_first' starts at index 1",
+    ),
+    "family-index-above-range": (
+        ["occupation", "--zoo", "example2", "--strategy", "climb_then_linger:21"],
+        "strategy 'climb_then_linger:21': family 'climb_then_linger' ends at index 20",
+    ),
+    # refused before the generator builds a rule over 10^20 rung names
+    "family-index-20-digits": (
+        ["occupation", "--zoo", "example2", "--strategy", "climb_then_linger:99999999999999999999"],
+        "strategy 'climb_then_linger:99999999999999999999': "
+        "family 'climb_then_linger' ends at index 20",
     ),
     "eps-not-a-number": (
         ["absorption", "--zoo", "example2", "--family", "climb_then_linger", "--eps", "abc"],
-        "argument --eps",
+        "argument --eps: need a finite positive number, got 'abc'",
     ),
     "tol-nan": (
         ["convergence", "--zoo", "example1", "--family", "spread_first", "--limit",
          "point_first", "--battery", "w-poly", "--tol", "nan", "--horizon", "3"],
-        "argument --tol",
+        "argument --tol: need a finite positive number, got 'nan'",
     ),
     "x0-zero-denominator": (
         ["occupation", "--zoo", "example1", "--strategy", "point_first", "--horizon", "2",
@@ -367,21 +377,21 @@ BAD_INPUTS = {
     ),
     "horizon-negative": (
         ["occupation", "--zoo", "example1", "--strategy", "point_first", "--horizon", "-1"],
-        "argument --horizon",
+        "argument --horizon: need a nonnegative integer, got '-1'",
     ),
     "n-max-negative": (
         ["absorption", "--zoo", "example2", "--family", "climb_then_linger", "--n-max", "-2"],
-        "argument --n-max",
+        "argument --n-max: need a nonnegative integer, got '-2'",
     ),
     "trunc-states-negative": (
         ["occupation", "--zoo", "example2", "--strategy", "always_branch",
          "--trunc-states", "-1"],
-        "argument --trunc-states",
+        "argument --trunc-states: need a nonnegative integer, got '-1'",
     ),
     "trunc-stages-negative": (
         ["occupation", "--zoo", "example2", "--strategy", "always_branch",
          "--trunc-stages", "-1"],
-        "argument --trunc-stages",
+        "argument --trunc-stages: need a nonnegative integer, got '-1'",
     ),
     # list prints plain text only, so it takes no report options
     "list-format": (["list", "--format", "json"], "unrecognized arguments"),

@@ -11,16 +11,21 @@ from absorbing_mdp import (
     ActionAtom,
     ActionMixture,
     AtomDecl,
+    Domain,
     FiniteActions,
     FixedDiffuse,
     FromRegion,
+    HybridMeasure,
     MdpModel,
+    MeasureComponent,
+    MeasureError,
     ModelError,
     Number,
     ONE,
     SegmentDecl,
     SegmentSelector,
     StageKernel,
+    StateAtom,
     StateDensity,
     StatePoint,
     Strategy,
@@ -136,6 +141,53 @@ def test_float_rule_density_height_within_its_err_of_zero_is_not_negative():
     )
     m = MdpModel(name="tiny", states=space, actions=FiniteActions(("a",)), kernel=TransitionKernel(rules=rules))
     assert validate_model(m) == []
+
+
+def _weight_refusal(w):
+    space = StateSpace(atoms=(AtomDecl("s"), AtomDecl("Delta")))
+    try:
+        component = MeasureComponent(StateAtom(space.point("s")), None, w)
+        HybridMeasure(Domain(space, FiniteActions(("a",))), (component,))
+    except MeasureError as exc:
+        return str(exc)
+
+
+def _height_refusal(h):
+    try:
+        StateDensity("u", (F(0), F(1)), (h,))
+    except MeasureError as exc:
+        return str(exc)
+
+
+def _row_refusal(p):
+    # the row sums to 1 (within 1e-9 for floats): only the sign is at fault
+    space = StateSpace(atoms=(AtomDecl("s"), AtomDecl("Delta")))
+    rows = ((("s", "a"), (("Delta", ONE - p), ("s", p))), (("Delta", "a"), (("Delta", ONE),)))
+    m = MdpModel(name="tiny", states=space, actions=FiniteActions(("a",)), kernel=TransitionKernel(rows=rows))
+    return "; ".join(validate_model(m)) or None
+
+
+@pytest.mark.parametrize(
+    "site, message",
+    [
+        (_weight_refusal, "component: negative weight"),
+        (_height_refusal, "density on 'u': negative height"),
+        (_row_refusal, "row ('s', 'a'): negative probability on 's'"),
+    ],
+    ids=["component-weight", "density-height", "row-probability"],
+)
+@pytest.mark.parametrize(
+    "p, refused",
+    [
+        (Number.exact(-1, 10 ** 30), True),
+        (Number.approx(-1e-17, 1e-16), False),
+        (Number.approx(-1e-15, 1e-16), True),
+    ],
+    ids=["exact-tiny", "float-within-err", "float-beyond-err"],
+)
+def test_the_shared_sign_test_at_its_boundary(site, message, p, refused):
+    # one sign test serves all three: negative exactly, or by more than its err
+    assert site(p) == (message if refused else None)
 
 
 def test_missing_row_is_reported():
