@@ -50,6 +50,10 @@ class ValueFunction:
     cemetery: str = "Delta"
     fallback: Callable[[str], Number | None] | None = None
 
+    def __post_init__(self):
+        for name, v in self.values.items():
+            _check_value(name, v)
+
     def value_at(self, name: str) -> Number:
         if name == self.cemetery:
             return ZERO
@@ -58,8 +62,14 @@ class ValueFunction:
         if self.fallback is not None:
             v = self.fallback(name)
             if v is not None:
-                return v
+                return _check_value(name, v)
         raise MissingValueError(f"no value for state {name!r}")
+
+
+def _check_value(name: str, v) -> Number:
+    if not isinstance(v, Number):
+        raise TypeError(f"value of state {name!r} is {type(v).__name__}, not Number")
+    return v
 
 
 def _apply_at(model: MdpModel, lookup: Callable[[str], Number], atom: str) -> Number:

@@ -80,7 +80,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .memo import remembered
-from .numbers import Number, ZERO, ONE, _negative, nsum
+from .numbers import Number, ZERO, ONE, _add_product, _approx, _negative, nsum
 from .quadrature import adaptive_quadrature, kronrod_quadrature, QuadratureError
 from .spaces import (
     ActionSpace,
@@ -639,6 +639,14 @@ class TestFunction:
             if action is None:
                 raise MeasureError(f"{self.name!r} needs an action argument")
             raw = self.evaluator(point, action)
+        # false for NaN and +-inf too
+        if type(raw) is float and -self._limit <= raw <= self._limit:
+            return raw
+        return self._sampled(raw)
+
+    def _sampled(self, raw) -> float:
+        """`sample`'s checks of a raw value, for any but a float within the
+        bound (which `sample` and `_sampler` return at once)."""
         if type(raw) is not float:
             return float(self._checked(raw).value)
         if not math.isfinite(raw):
@@ -718,10 +726,11 @@ _MEMO: dict[int, dict] = {}
 
 
 def integrate(mu: HybridMeasure, g: TestFunction, tol: float = DEFAULT_INTEGRATE_TOL) -> Number:
-    """Integral of g against mu.  The result's error bound is zero on fully
-    exact paths, and at most tol when quadrature was involved.  Each
-    (mu, g, tol) is integrated once while mu lives; an error is raised
-    again on every call."""
+    """Integral of g against mu.  The result's err is zero on fully exact
+    paths.  Where quadrature was involved it holds the rules' error
+    estimates, which the tolerance split keeps near tol, and is not a
+    certified bound (see `quadrature`).  Each (mu, g, tol) is integrated
+    once while mu lives; an error is raised again on every call."""
     return remembered(_MEMO, mu, (g,), (tol,), lambda: _integral(mu, g, tol))
 
 
@@ -1043,10 +1052,8 @@ def _share_tol(tol: float, w: Number) -> float:
 
 def _state_density_integral(d: StateDensity, g: TestFunction, tol: float) -> Number:
     if g.structured is not None:
-        factor = g.structured[0]
-        return factor.integral_against(d)
-    f = lambda x: g.sample(_segment_point(d.segment, x))
-    return _density_quad(d.breaks, d.heights, f, tol, g.declared_class)
+        return g.structured[0].integral_against(d)
+    return _density_quad(d.breaks, d.heights, _sampler(g, segment=d.segment), tol, g.declared_class)
 
 
 def _pure_integral(s: StatePart, a: ActionAtom | ActionDensity, g: TestFunction, tol: float) -> Number:
@@ -1061,43 +1068,71 @@ def _pure_integral(s: StatePart, a: ActionAtom | ActionDensity, g: TestFunction,
             total = total + sv * av
         return total
     if atomic_s:
-        f = lambda t: g.sample(s.point, t)
-        return _density_quad(a.breaks, a.heights, f, tol, g.declared_class)
+        return _density_quad(a.breaks, a.heights, _sampler(g, s.point), tol, g.declared_class)
     if atomic_a:
-        f = lambda x: g.sample(_segment_point(s.segment, x), a.action)
+        f = _sampler(g, segment=s.segment, action=a.action)
         return _density_quad(s.breaks, s.heights, f, tol, g.declared_class)
     # nested: outer over the state density, inner over the action density
     smass = max(float(s.mass().value), 1e-30)
     inner_tol = tol / (2.0 * smass)
+    rule = _rule(g.declared_class)
+    kept = []
+    inner = _cell_plan(a.breaks, a.heights, inner_tol, kept)
 
     def outer(x):
-        p = _segment_point(s.segment, x)
-        f = lambda t: g.sample(p, t)
-        inner = _density_quad(a.breaks, a.heights, f, inner_tol, g.declared_class)
-        return float(inner.value)
+        # the first node converts the inner cells, every later one reuses them
+        nonlocal inner
+        cells, inner = inner, kept
+        return _density_sum(cells, _sampler(g, _segment_point(s.segment, x)), rule)[0]
 
-    got = _density_quad(s.breaks, s.heights, outer, tol / 2.0, g.declared_class)
-    return Number.approx(float(got.value), float(got.err) + smass * inner_tol)
+    total, err = _density_sum(_cell_plan(s.breaks, s.heights, tol / 2.0), outer, rule)
+    return Number.approx(total, err + smass * inner_tol)
+
+
+def _sampler(g: TestFunction, point: StatePoint | None = None, segment: str | None = None, action=None):
+    """`g.sample` as a function of the action at a point, or of the segment
+    coordinate (with the action, for a joint g), all else resolved once.  A
+    float within the bound (false for NaN and +-inf) returns at once."""
+    ev, lim, slow = g.evaluator, g._limit, g._sampled
+    if point is not None:
+        return lambda t: r if type(r := ev(point, t)) is float and -lim <= r <= lim else slow(r)
+    if g.arity == "state":
+        return lambda x: r if type(r := ev(_segment_point(segment, x))) is float and -lim <= r <= lim else slow(r)
+    return lambda x: r if type(r := ev(_segment_point(segment, x), action)) is float and -lim <= r <= lim else slow(r)
 
 
 def _density_quad(breaks, heights, f, tol: float, declared_class: str) -> Number:
-    """f against a piecewise-constant density, tol split evenly over its
-    cells and scaled by each cell's height."""
-    total = ZERO
+    """f against a piecewise-constant density; see `_cell_plan`."""
+    return _approx(*_density_sum(_cell_plan(breaks, heights, tol), f, _rule(declared_class)))
+
+
+def _cell_plan(breaks, heights, tol: float, kept: list | None = None):
+    """Each cell as floats (lo, hi, tol, height value, height err), tol split
+    evenly over the cells and divided by the height; made as the sum reaches
+    it, and appended to `kept` when that is given."""
     budget = tol / len(heights)
     for a, b, h in zip(breaks, breaks[1:], heights):
-        hv = max(float(h.value), 1e-30)
-        v, e = _quad(f, float(a), float(b), budget / hv, declared_class)
-        total = total + h * Number.approx(v, e)
-    return total
+        hv = float(h.value)
+        cell = (float(a), float(b), budget / max(hv, 1e-30), hv, float(h.err))
+        if kept is not None:
+            kept.append(cell)
+        yield cell
 
 
-def _quad(f, lo: float, hi: float, tol: float, declared_class: str) -> tuple[float, float]:
+def _density_sum(cells, f, rule) -> tuple[float, float]:
+    """The value and err, in floats, of the Number sum from ZERO of each
+    cell's height times the rule's integral of f over it."""
+    total = err = 0.0
+    for lo, hi, tol, hv, he in cells:
+        try:
+            v, e = rule(f, lo, hi, tol)
+        except QuadratureError as exc:
+            raise IntegrationError(str(exc), value=exc.value, err=exc.err) from exc
+        total, err = _add_product(total, err, hv, he, v, e)
+    return total, err
+
+
+def _rule(declared_class: str):
     """G7-K15 for a continuous integrand; Simpson, whose bisection closes in
     on a kink or a jump with fewer samples, for any other."""
-    rule = kronrod_quadrature if declared_class == CONTINUOUS else adaptive_quadrature
-    try:
-        return rule(f, lo, hi, tol)
-    except QuadratureError as exc:
-        raise IntegrationError(str(exc), value=exc.value, err=exc.err) from exc
-
+    return kronrod_quadrature if declared_class == CONTINUOUS else adaptive_quadrature

@@ -32,8 +32,9 @@ of `Fraction`'s abstract base class.
 
 The interval helpers the other modules share live here too: `_negative`,
 the one sign test of a weight, height or probability (negative exactly, or
-by more than its err), and `_round_up`, which rounds an exact bound up to
-a float.
+by more than its err), `_round_up`, which rounds an exact bound up to
+a float, and `_add_product`, one step of a float sum of products by the
+formulas of `*` and `+`, for the cells of `measure`'s quadrature.
 """
 
 from __future__ import annotations
@@ -320,6 +321,23 @@ def _approx(v: float, e: float) -> Number:
     _set_value(n, v)
     _set_err(n, e)
     return n
+
+
+def _add_product(total: float, err: float, hv: float, he: float, v: float, e: float) -> tuple[float, float]:
+    """The value and err of `acc + h * Number.approx(v, e)` for float Numbers
+    acc = (total, err) and h = (hv, he), by `*` and `+`'s formulas without
+    building a Number: the same bits, and the same errors."""
+    if not (math.isfinite(v) and 0.0 <= e < math.inf):
+        Number(v, e)
+    p = hv * v
+    pe = abs(hv) * e + abs(v) * he + he * e + _slop(p)
+    if not (math.isfinite(p) and math.isfinite(pe)):
+        _approx(p, pe)
+    total += p
+    err = err + pe + _slop(total)
+    if not (math.isfinite(total) and math.isfinite(err)):
+        _approx(total, err)
+    return total, err
 
 
 # -- the integer kernel of exact arithmetic ---------------------------------

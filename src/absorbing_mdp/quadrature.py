@@ -18,10 +18,11 @@ budget runs out and `QuadratureError` carries the best value reached.
   `measure.integrate` uses it for `CARATHEODORY` and `MEASURABLE`
   functions.
 
-`measure.integrate` passes test functions in through `TestFunction.sample`:
-a float sample is checked for finiteness and against the function's bound
-without being boxed into a `Number`; any other sample type takes the same
-checks as `TestFunction.evaluate`.
+`measure.integrate` passes a test function in as one sampler per integral,
+the point, segment and action fixed when it is built: a float sample is
+checked for finiteness and against the function's bound inline, without
+being boxed into a `Number`; any other sample takes the checks and errors
+of `TestFunction.sample`.
 
 Caveat: the returned error of either rule is an estimate, not a bound.  It
 is pessimistic for smooth integrands.  A kink or a jump inside an interval
@@ -128,7 +129,8 @@ def adaptive_quadrature(
     tol: float,
     max_intervals: int = 4096,
 ) -> tuple[float, float]:
-    """Integrate f over [lo, hi]; returns (value, error bound)."""
+    """Integrate f over [lo, hi] by adaptive Simpson; returns (value,
+    error estimate)."""
     if not lo < hi:
         raise ValueError("need lo < hi")
     heappush, heappop = heapq.heappush, heapq.heappop

@@ -76,6 +76,17 @@ def test_fallback_supplies_missing_values(chain):
         strict.value_at("A")
 
 
+@pytest.mark.parametrize("raw", [Fraction(4), 4, 4.0, "4"])
+def test_a_value_that_is_not_a_number_is_refused_where_it_enters(chain, raw):
+    # a raw Fraction once reached the Bellman rows and failed there with an
+    # AttributeError
+    with pytest.raises(TypeError, match=f"value of state 'A' is {type(raw).__name__}, not Number"):
+        ValueFunction(values={"A": raw, "B": Number.exact(3)})
+    w = ValueFunction(values={"B": Number.exact(3)}, fallback=lambda name: raw)
+    with pytest.raises(TypeError, match=f"value of state 'A' is {type(raw).__name__}, not Number"):
+        verify_supersolution(chain, w, SUPPORT)
+
+
 def value_iterate(model, support, iters: int):
     """Reference value iteration: `bellman_apply` from zero, `iters` times,
     with successors outside the support counting as zero.  Returns the final
