@@ -500,18 +500,13 @@ def _as_dist(a) -> ActionPart:
     return ActionAtom(a)
 
 
-def deterministic_stationary(
-    atom_actions: dict | None = None,
-    default=None,
-    selectors: tuple = (),
-) -> Strategy:
-    """Stationary strategy from an atom -> action map, optional segment
-    selectors, and an optional catch-all action."""
+def deterministic_stationary(atom_actions: dict | None = None, default=None) -> Strategy:
+    """Stationary strategy from an atom -> action map and an optional
+    catch-all action."""
     rules: list = []
     if atom_actions:
         for name in atom_actions:
             rules.append(StrategyRule(dist=_as_dist(atom_actions[name]), atoms=(name,)))
-    rules.extend(selectors)
     if default is not None:
         rules.append(StrategyRule(dist=_as_dist(default)))
     return Strategy(stages=(StageKernel(tuple(rules)),))

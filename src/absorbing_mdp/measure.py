@@ -44,7 +44,7 @@ divided by the weight, so that the err stays within tol.
 
 The grouping depends on the measure alone: which components are exact
 state densities, and their cells by group as integers over per-group
-denominators, are tabled once per (measure, arity) (`_CellTable`).  Each
+denominators, are tabled once per measure (`_CellTable`).  Each
 pass then runs the function's checks on each tabled component as it
 reaches it, and adds the moments of the cells of the components it took
 to the exact sum (`_CellPass`).
@@ -52,13 +52,12 @@ to the exact sum (`_CellPass`).
 `integrate` keeps each result under (function, tolerance) for as long as
 the measure lives (`memo.remembered`, owned by the measure): a second call
 with the same measure, function object and tolerance returns the same
-Number without evaluating anything.  The cell tables are kept the same
-way, under the arity.  The memo keeps neither the function nor anything
-the function refers to alive, and nothing is stored on the measure
-itself.  Errors are not kept: a call that raised raises again on every
-call.
+Number without evaluating anything.  The cell table is kept the same
+way.  The memo keeps neither the function nor anything the function
+refers to alive, and nothing is stored on the measure itself.  Errors are
+not kept: a call that raised raises again on every call.
 
-The joint cell table is the one integer form of a measure's exact cells:
+The cell table is the one integer form of a measure's exact cells:
 `integrate`, `HybridMeasure.total_mass` and `topology.determinism_defect`
 all read it.  An exact atom term whose value is 0 is skipped, and
 `_exact_sum` drops zero numerators, so a zero never widens the common
@@ -243,14 +242,14 @@ class HybridMeasure:
     def total_mass(self) -> Number:
         """Σ c.mass().  With every weight exact, the masses are summed as
         integers by `_exact_sum`: an atom's under an action atom or none is
-        its weight, and with a state density the cells of the joint cell
-        table (`_CellTable`) add Σ p·(b − a) over q·d per group.  With any
+        its weight, and with a state density the cells of the cell table
+        (`_CellTable`) add Σ p·(b − a) over q·d per group.  With any
         inexact component, in order by `nsum`, so that float results keep
         their bits."""
         comps = self.components
         if not all(type(c.weight.value) is Fraction for c in comps):
             return nsum(c.mass() for c in comps)
-        table = _cell_table(self, True)
+        table = _cell_table(self)
         terms = []
         for i, c in enumerate(comps):
             if i not in table.rows:
@@ -833,25 +832,29 @@ def _exact_poly(poly: PiecewisePoly) -> bool:
     return all(map(_is_exact, poly.breaks)) and all(_is_exact(c) for row in poly.coeffs for c in row)
 
 
-# id(mu) -> {(joint,): ((), the _CellTable of mu for that arity)}; see `memo`.
+# id(mu) -> {(): ((), the _CellTable of mu)}; see `memo`.
 _TABLES: dict[int, dict] = {}
 
 
 class _CellTable:
-    """The measure side of the grouped pass, for a joint or a state-only g:
-    which components are exact state densities (weight, heights, breaks,
-    action atoms and mixture weights rational), and their cells, grouped by
-    (segment, action) for a joint g and by segment for a state-only one.
-    The joint table is also the one that `HybridMeasure.total_mass` and
-    `topology.determinism_defect` read.
+    """The measure side of the grouped pass: which components are exact
+    state densities (weight, heights and breaks rational) under an action
+    part of rational mass, and their cells, grouped by (segment, action).
+    Under action atoms, or a mixture of them, each atom's cells carry its
+    weight and group under its action; under any other action part, or
+    none, the cells carry the part's mass and group under action None.  A
+    joint g reads the atom groups, a state-only g every group of the
+    segment.  `HybridMeasure.total_mass` and `topology.determinism_defect`
+    read the same table.
 
     `rows[i]` is ((segment, actions), lo, hi) for such a component i, lo
-    and hi the ends of its density.  `groups[key]` is (d, q, cells): each
-    cell (i, p, a, b) of component i is [a/d, b/d] carrying weight times
-    height p/q, with d and q common to the group.
+    and hi the ends of its density, actions None for a component under
+    action None.  `groups[key]` is (d, q, cells): each cell (i, p, a, b) of
+    component i is [a/d, b/d] carrying weight times height p/q, with d and
+    q common to the group.
     """
 
-    def __init__(self, mu: HybridMeasure, joint: bool):
+    def __init__(self, mu: HybridMeasure):
         self.rows: dict = {}
         found: dict = {}  # key -> [(i, lo, hi, weight, height)]
         for i, c in enumerate(mu.components):
@@ -860,28 +863,26 @@ class _CellTable:
                 continue
             if not all(type(h.value) is Fraction for h in s.heights) or not all(map(_is_exact, s.breaks)):
                 continue
-            if joint:
-                parts = a.parts if type(a) is ActionMixture else ((ONE, a),)
-                if not all(type(p) is ActionAtom and type(pw.value) is Fraction for pw, p in parts):
-                    continue
+            parts = a.parts if type(a) is ActionMixture else ((ONE, a),)
+            if all(type(p) is ActionAtom and type(pw.value) is Fraction for pw, p in parts):
+                actions = tuple(p.action for _, p in parts)
             else:
                 parts = ((action_mass(a), None),)
                 if type(parts[0][0].value) is not Fraction:
                     continue
-            actions = tuple(p.action for _, p in parts) if joint else (None,)
+                actions = None
             self.rows[i] = ((s.segment, actions), s.breaks[0], s.breaks[-1])
             for pw, p in parts:
                 weight = w if pw is ONE else w * pw.value
-                cells = found.setdefault((s.segment, p.action) if joint else s.segment, [])
+                cells = found.setdefault((s.segment, None if p is None else p.action), [])
                 for lo, hi, h in zip(s.breaks, s.breaks[1:], s.heights):
                     cells.append((i, lo, hi, weight, h.value))
         self.groups = {key: _as_ints(cells) for key, cells in found.items()}
 
 
-def _cell_table(mu: HybridMeasure, joint: bool) -> _CellTable:
-    """mu's cell table for a joint or a state-only function, built once
-    while mu lives."""
-    return remembered(_TABLES, mu, (), (joint,), lambda: _CellTable(mu, joint))
+def _cell_table(mu: HybridMeasure) -> _CellTable:
+    """mu's cell table, built once while mu lives."""
+    return remembered(_TABLES, mu, (), (), lambda: _CellTable(mu))
 
 
 def _as_ints(cells):
@@ -918,9 +919,9 @@ class _CellPass:
 
     def take(self, i: int) -> bool:
         if self.table is None:
-            self.table = _cell_table(self.mu, self.joint)
+            self.table = _cell_table(self.mu)
         row = self.table.rows.get(i)
-        if row is None:
+        if row is None or self.joint and row[0][1] is None:
             return False
         key, lo, hi = row
         ok = self.known.get(key)
@@ -937,7 +938,7 @@ class _CellPass:
         [lo, hi], took part in it."""
         segment, actions = key
         ranged = False
-        for action in actions:
+        for action in actions if self.joint else (None,):
             for t, (sf, af) in enumerate(self.terms):
                 entry = self.polys[t].get(segment)
                 if entry is None:
@@ -974,13 +975,13 @@ class _CellPass:
             keep = set(self.taken)
             groups = {key: (d, q, [c for c in cells if c[0] in keep]) for key, (d, q, cells) in groups.items()}
         for t in range(len(self.terms)):
-            for key, (d, q, cells) in groups.items():
+            for (segment, action), (d, q, cells) in groups.items():
                 if not cells:
                     continue
                 if not self.joint:
-                    _cells_integral(self.polys[t][key][0], d, q, cells, 1, terms)
-                elif v := self.factors[t][key[1]]:
-                    _cells_integral(self.polys[t][key[0]][0], d, q, cells, v, terms)
+                    _cells_integral(self.polys[t][segment][0], d, q, cells, 1, terms)
+                elif action is not None and (v := self.factors[t][action]):
+                    _cells_integral(self.polys[t][segment][0], d, q, cells, v, terms)
 
 
 def _cells_integral(poly: PiecewisePoly, d: int, q: int, cells, v, terms: list) -> None:

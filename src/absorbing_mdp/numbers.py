@@ -422,16 +422,16 @@ class DigitLimitError(ValueError):
 def format_number(n: Number) -> str:
     """Exact values render as 'p/q'; approximate values as a decimal literal.
     An exact value past the int-to-str digit limit raises DigitLimitError."""
-    if n.is_exact:
-        f = n.as_fraction()
-        try:
-            return f"{f.numerator}/{f.denominator}"
-        except ValueError as exc:
-            digits = round(max(abs(f.numerator), f.denominator).bit_length() * math.log10(2))
-            raise DigitLimitError(
-                f"an exact value of about {digits} digits is too long to print"
-            ) from exc
-    return repr(float(n.value))
+    f = n.value
+    if isinstance(f, float):
+        return repr(float(f))
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:
+        digits = round(max(abs(f.numerator), f.denominator).bit_length() * math.log10(2))
+        raise DigitLimitError(
+            f"an exact value of about {digits} digits is too long to print"
+        ) from exc
 
 
 def parse_number(s: str) -> Number:

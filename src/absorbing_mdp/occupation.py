@@ -660,22 +660,13 @@ def tail_sum(
     strategy: Strategy,
     x0: StatePoint,
     n: int,
-    solver: str = "countable",
-    horizon: int | None = None,
     trunc: Truncation = Truncation(),
     continue_bound: Fraction | None = None,
 ) -> Number:
-    """Expected time spent in play from stage n on: total occupation mass
-    minus the first n survival probabilities.  Nonincreasing in n."""
-    if solver == "countable":
-        occ = occupation_countable(model, strategy, x0, trunc, continue_bound)
-    elif solver == "unroll":
-        if horizon is None:
-            raise SolverError("the unroll path needs a horizon")
-        occ = occupation_unroll(model, strategy, x0, horizon)
-    else:
-        raise SolverError(f"unknown solver {solver!r}")
-    total = expected_hitting_time(occ)
+    """Expected time spent in play from stage n on: total occupation mass,
+    by the countable solver, minus the first n survival probabilities.
+    Nonincreasing in n."""
+    total = expected_hitting_time(occupation_countable(model, strategy, x0, trunc, continue_bound))
     if n == 0:
         return total
     surv = survival_probs(model, strategy, x0, n - 1)

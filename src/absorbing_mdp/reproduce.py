@@ -9,7 +9,7 @@ the recorded tolerance including any tracked error bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .numbers import Number, format_number
@@ -50,33 +50,21 @@ def run_claim(claim: Claim) -> ClaimRow:
     try:
         computed = claim.compute()
     except Exception as exc:
-        return ClaimRow(
-            claim.id,
-            claim.statement,
-            _render(claim.expected),
-            f"error: {type(exc).__name__}: {exc}",
-            False,
-            claim.acceptance,
-            claim.tol,
-        )
-    if isinstance(claim.expected, str):
-        ok = computed == claim.expected
+        shown, ok = f"error: {type(exc).__name__}: {exc}", False
     else:
-        want = Number.lift(claim.expected)
-        if not isinstance(computed, Number):
-            ok = False
-        elif claim.tol is None:
-            ok = computed == want
+        if isinstance(claim.expected, str):
+            ok = computed == claim.expected
         else:
-            ok = computed.within(want, claim.tol)
+            want = Number.lift(claim.expected)
+            if not isinstance(computed, Number):
+                ok = False
+            elif claim.tol is None:
+                ok = computed == want
+            else:
+                ok = computed.within(want, claim.tol)
+        shown = _render(computed)
     return ClaimRow(
-        claim.id,
-        claim.statement,
-        _render(claim.expected),
-        _render(computed),
-        bool(ok),
-        claim.acceptance,
-        claim.tol,
+        claim.id, claim.statement, _render(claim.expected), shown, bool(ok), claim.acceptance, claim.tol
     )
 
 
@@ -113,18 +101,7 @@ def report_to_dict(rep: ReproduceReport) -> dict:
         "passed": rep.passed,
         "covered_tags": list(rep.covered_tags),
         "missing_tags": list(rep.missing_tags),
-        "rows": [
-            {
-                "id": r.id,
-                "statement": r.statement,
-                "expected": r.expected,
-                "computed": r.computed,
-                "passed": r.passed,
-                "acceptance": r.acceptance,
-                "tol": r.tol,
-            }
-            for r in rep.rows
-        ],
+        "rows": [asdict(r) for r in rep.rows],
     }
 
 

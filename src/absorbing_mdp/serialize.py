@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numbers import Number, format_number
+from .numbers import Number, _exact, format_number
 from .measure import (
     ActionAtom,
     ActionDensity,
@@ -57,14 +57,14 @@ class FormatError(ValueError):
 
 
 def enc_number(n: Number):
-    if n.is_exact:
-        return format_number(n)
-    return {"f": float(n.value), "err": float(n.err)}
+    if isinstance(n.value, float):
+        return {"f": float(n.value), "err": float(n.err)}
+    return format_number(n)
 
 
 def dec_number(v) -> Number:
     if isinstance(v, str):
-        return Number(dec_pos(v))
+        return _exact(dec_pos(v))
     if isinstance(v, dict):
         return Number.approx(float(v["f"]), float(v.get("err", 0.0)))
     raise FormatError(f"bad number encoding {v!r}")
@@ -96,12 +96,142 @@ def dec_action_value(v):
     return dec_pos(v["coord"])
 
 
-def _enc_opt_pos(x):
-    return None if x is None else enc_pos(x)
+# -- tagged types ----------------------------------------------------------
+#
+# Each tagged type is declared once, in the table of the position it stands
+# at: its "type" tag and its fields, one (key, codec) per field, the key its
+# attribute's name and the fields in its constructor's order.  A codec is an
+# (encode, decode) pair; None in a place passes the value through as it is.
+# `_encode` and `_decode` walk every table.
 
 
-def _dec_opt_pos(v):
-    return None if v is None else dec_pos(v)
+class _Optional(tuple):
+    """A codec whose field may be absent from a document: it reads as None."""
+
+
+def _or_none(enc, dec):
+    """None both ways, anything else through (enc, dec)."""
+    return (lambda x: None if x is None else enc(x)), (lambda v: None if v is None else dec(v))
+
+
+def _each(enc, dec):
+    """A list out and a tuple back, each item through (enc, dec)."""
+    return (lambda xs: [enc(x) for x in xs]), (lambda vs: tuple([dec(v) for v in vs]))
+
+
+_enc_opt_pos, _dec_opt_pos = _or_none(enc_pos, dec_pos)
+_AS_IS = (None, None)
+_POS = (enc_pos, dec_pos)
+_POSITIONS = _each(enc_pos, dec_pos)
+_NUMBERS = _each(enc_number, dec_number)
+
+
+class _Table:
+    """The tagged types of one position: `tags` maps each class to its tag
+    and (key, encode) pairs, `classes` each tag to its class and (key,
+    decode, may the key be absent) triples."""
+
+    def __init__(self, what: str, *entries):
+        self.what = what
+        self.tags = {
+            cls: (tag, tuple((key, codec[0]) for key, codec in fields)) for cls, tag, fields in entries
+        }
+        self.classes = {
+            tag: (cls, tuple((key, codec[1], type(codec) is _Optional) for key, codec in fields))
+            for cls, tag, fields in entries
+        }
+
+
+def _encode(table: _Table, obj) -> dict:
+    tag, fields = table.tags[type(obj)]
+    out = {"type": tag}
+    values = obj.__dict__
+    for key, enc in fields:
+        out[key] = values[key] if enc is None else enc(values[key])
+    return out
+
+
+def _decode(table: _Table, d: dict):
+    tag = d["type"]
+    entry = table.classes.get(tag) if isinstance(tag, str) else None
+    if entry is None:
+        raise FormatError(f"unknown {table.what} type {tag!r}")
+    cls, fields = entry
+    args = []
+    for key, dec, optional in fields:
+        v = d.get(key) if optional else d[key]
+        args.append(v if dec is None else dec(v))
+    return cls(*args)
+
+
+def _enc_part(a):
+    return None if a is None else _encode(_ACTION_PARTS, a)
+
+
+def _dec_part(d):
+    return None if d is None else _decode(_ACTION_PARTS, d)
+
+
+def _region_to_dict(r: FromRegion) -> dict:
+    if r.atoms is not None:
+        return {"atoms": list(r.atoms)}
+    return {"segment": r.segment}
+
+
+def _region_from_dict(d: dict) -> FromRegion:
+    if "atoms" in d:
+        for a in d["atoms"]:
+            if type(a) is not str:
+                raise TypeError(f"region atom {a!r} is not a string")
+        return FromRegion(atoms=tuple(d["atoms"]))
+    return FromRegion(segment=d["segment"])
+
+
+_ACTION_SPACES = _Table(
+    "action space",
+    (FiniteActions, "finite", [("names", (list, tuple))]),
+    (IntervalActions, "interval", [("lo", _POS), ("hi", _POS)]),
+)
+_STATE_DENSITIES = _Table(
+    "state part",
+    (StateDensity, "state-density", [("segment", _AS_IS), ("breaks", _POSITIONS), ("heights", _NUMBERS)]),
+)
+_ACTION_PARTS = _Table(
+    "action part",
+    (ActionAtom, "action-atom", [("action", (enc_action_value, dec_action_value))]),
+    (ActionDensity, "action-density", [("breaks", _POSITIONS), ("heights", _NUMBERS)]),
+    (ActionMixture, "action-mixture", [("parts", (
+        lambda parts: [[enc_number(w), _enc_part(p)] for w, p in parts],
+        lambda parts: tuple([(dec_number(w), _dec_part(p)) for w, p in parts]),
+    ))]),
+)
+_REGION = (_region_to_dict, _region_from_dict)
+_KERNEL_RULES = _Table(
+    "kernel rule",
+    (ActionPushforward, "embed", [("region", _REGION), ("segment", _AS_IS), ("alpha", _POS), ("beta", _POS)]),
+    (FixedDiffuse, "diffuse", [
+        ("region", _REGION),
+        ("atom_probs", (
+            lambda probs: [[name, enc_number(p)] for name, p in probs],
+            lambda probs: tuple([(name, dec_number(p)) for name, p in probs]),
+        )),
+        ("pieces", (
+            lambda pieces: [[label, _POSITIONS[0](b), _NUMBERS[0](h)] for label, b, h in pieces],
+            lambda pieces: tuple([(label, _POSITIONS[1](b), _NUMBERS[1](h)) for label, b, h in pieces]),
+        )),
+    ]),
+)
+_STRATEGY_RULES = _Table(
+    "strategy rule",
+    (SegmentSelector, "selector", [
+        ("segment", _AS_IS), ("breaks", _POSITIONS), ("actions", _each(enc_action_value, dec_action_value)),
+    ]),
+    (StrategyRule, "rule", [
+        ("dist", (_enc_part, _dec_part)),
+        ("atoms", _Optional(_or_none(list, tuple))),
+        ("segment", _Optional(_AS_IS)),
+    ]),
+)
 
 
 # -- spaces ----------------------------------------------------------------
@@ -141,20 +271,6 @@ def space_from_dict(d: dict) -> StateSpace:
     )
 
 
-def actions_to_dict(actions) -> dict:
-    if isinstance(actions, FiniteActions):
-        return {"type": "finite", "names": list(actions.names)}
-    return {"type": "interval", "lo": enc_pos(actions.lo), "hi": enc_pos(actions.hi)}
-
-
-def actions_from_dict(d: dict):
-    if d["type"] == "finite":
-        return FiniteActions(tuple(d["names"]))
-    if d["type"] == "interval":
-        return IntervalActions(dec_pos(d["lo"]), dec_pos(d["hi"]))
-    raise FormatError(f"unknown action space type {d['type']!r}")
-
-
 # -- measures --------------------------------------------------------------
 
 
@@ -164,12 +280,7 @@ def _state_part_to_dict(s) -> dict:
         if p.atom is not None:
             return {"type": "state-atom", "atom": p.atom, "coord": _enc_opt_pos(p.coord)}
         return {"type": "state-atom", "segment": p.segment, "coord": enc_pos(p.coord)}
-    return {
-        "type": "state-density",
-        "segment": s.segment,
-        "breaks": [enc_pos(b) for b in s.breaks],
-        "heights": [enc_number(h) for h in s.heights],
-    }
+    return _encode(_STATE_DENSITIES, s)
 
 
 def _state_part_from_dict(d):
@@ -177,47 +288,7 @@ def _state_part_from_dict(d):
         if "atom" in d and d["atom"] is not None:
             return StateAtom(StatePoint(atom=d["atom"], coord=_dec_opt_pos(d.get("coord"))))
         return StateAtom(StatePoint(segment=d["segment"], coord=dec_pos(d["coord"])))
-    if d["type"] == "state-density":
-        return StateDensity(
-            d["segment"],
-            tuple(dec_pos(b) for b in d["breaks"]),
-            tuple(dec_number(h) for h in d["heights"]),
-        )
-    raise FormatError(f"unknown state part type {d['type']!r}")
-
-
-def _action_part_to_dict(a):
-    if a is None:
-        return None
-    if isinstance(a, ActionAtom):
-        return {"type": "action-atom", "action": enc_action_value(a.action)}
-    if isinstance(a, ActionDensity):
-        return {
-            "type": "action-density",
-            "breaks": [enc_pos(b) for b in a.breaks],
-            "heights": [enc_number(h) for h in a.heights],
-        }
-    return {
-        "type": "action-mixture",
-        "parts": [[enc_number(w), _action_part_to_dict(p)] for w, p in a.parts],
-    }
-
-
-def _action_part_from_dict(d):
-    if d is None:
-        return None
-    if d["type"] == "action-atom":
-        return ActionAtom(dec_action_value(d["action"]))
-    if d["type"] == "action-density":
-        return ActionDensity(
-            tuple(dec_pos(b) for b in d["breaks"]),
-            tuple(dec_number(h) for h in d["heights"]),
-        )
-    if d["type"] == "action-mixture":
-        return ActionMixture(
-            tuple((dec_number(w), _action_part_from_dict(p)) for w, p in d["parts"])
-        )
-    raise FormatError(f"unknown action part type {d['type']!r}")
+    return _decode(_STATE_DENSITIES, d)
 
 
 def measure_to_dict(mu: HybridMeasure) -> dict:
@@ -226,12 +297,12 @@ def measure_to_dict(mu: HybridMeasure) -> dict:
         "version": FORMAT_VERSION,
         "domain": {
             "states": space_to_dict(mu.domain.states),
-            "actions": actions_to_dict(mu.domain.actions),
+            "actions": _encode(_ACTION_SPACES, mu.domain.actions),
         },
         "components": [
             {
                 "state": _state_part_to_dict(c.state),
-                "action": _action_part_to_dict(c.action),
+                "action": _enc_part(c.action),
                 "weight": enc_number(c.weight),
             }
             for c in mu.components
@@ -243,12 +314,12 @@ def measure_from_dict(d: dict) -> HybridMeasure:
     _expect(d, "absorbing-mdp/measure")
     domain = Domain(
         space_from_dict(d["domain"]["states"]),
-        actions_from_dict(d["domain"]["actions"]),
+        _decode(_ACTION_SPACES, d["domain"]["actions"]),
     )
     comps = tuple(
         MeasureComponent(
             _state_part_from_dict(c["state"]),
-            _action_part_from_dict(c.get("action")),
+            _dec_part(c.get("action")),
             dec_number(c["weight"]),
         )
         for c in d["components"]
@@ -259,101 +330,10 @@ def measure_from_dict(d: dict) -> HybridMeasure:
 # -- models and strategies -------------------------------------------------
 
 
-def _region_to_dict(r: FromRegion) -> dict:
-    if r.atoms is not None:
-        return {"atoms": list(r.atoms)}
-    return {"segment": r.segment}
-
-
-def _region_from_dict(d: dict) -> FromRegion:
-    if "atoms" in d:
-        for a in d["atoms"]:
-            if type(a) is not str:
-                raise TypeError(f"region atom {a!r} is not a string")
-        return FromRegion(atoms=tuple(d["atoms"]))
-    return FromRegion(segment=d["segment"])
-
-
-def _rule_to_dict(rule) -> dict:
-    if isinstance(rule, ActionPushforward):
-        return {
-            "type": "embed",
-            "region": _region_to_dict(rule.region),
-            "segment": rule.segment,
-            "alpha": enc_pos(rule.alpha),
-            "beta": enc_pos(rule.beta),
-        }
-    return {
-        "type": "diffuse",
-        "region": _region_to_dict(rule.region),
-        "atom_probs": [[name, enc_number(p)] for name, p in rule.atom_probs],
-        "pieces": [
-            [label, [enc_pos(b) for b in breaks], [enc_number(h) for h in heights]]
-            for label, breaks, heights in rule.pieces
-        ],
-    }
-
-
-def _rule_from_dict(d: dict):
-    if d["type"] == "embed":
-        return ActionPushforward(
-            _region_from_dict(d["region"]),
-            d["segment"],
-            dec_pos(d["alpha"]),
-            dec_pos(d["beta"]),
-        )
-    if d["type"] == "diffuse":
-        return FixedDiffuse(
-            _region_from_dict(d["region"]),
-            atom_probs=tuple((name, dec_number(p)) for name, p in d["atom_probs"]),
-            pieces=tuple(
-                (
-                    label,
-                    tuple(dec_pos(b) for b in breaks),
-                    tuple(dec_number(h) for h in heights),
-                )
-                for label, breaks, heights in d["pieces"]
-            ),
-        )
-    raise FormatError(f"unknown kernel rule type {d['type']!r}")
-
-
-def _strategy_rule_to_dict(rule) -> dict:
-    if isinstance(rule, SegmentSelector):
-        return {
-            "type": "selector",
-            "segment": rule.segment,
-            "breaks": [enc_pos(b) for b in rule.breaks],
-            "actions": [enc_action_value(a) for a in rule.actions],
-        }
-    return {
-        "type": "rule",
-        "dist": _action_part_to_dict(rule.dist),
-        "atoms": None if rule.atoms is None else list(rule.atoms),
-        "segment": rule.segment,
-    }
-
-
-def _strategy_rule_from_dict(d: dict):
-    if d["type"] == "selector":
-        return SegmentSelector(
-            d["segment"],
-            tuple(dec_pos(b) for b in d["breaks"]),
-            tuple(dec_action_value(a) for a in d["actions"]),
-        )
-    if d["type"] == "rule":
-        return StrategyRule(
-            dist=_action_part_from_dict(d["dist"]),
-            atoms=None if d.get("atoms") is None else tuple(d["atoms"]),
-            segment=d.get("segment"),
-        )
-    raise FormatError(f"unknown strategy rule type {d['type']!r}")
-
-
 def strategy_to_dict(s: Strategy) -> dict:
     return {
         "stages": [
-            {"rules": [_strategy_rule_to_dict(r) for r in st.rules]} for st in s.stages
+            {"rules": [_encode(_STRATEGY_RULES, r) for r in st.rules]} for st in s.stages
         ],
         "stationary_tail": s.stationary_tail,
     }
@@ -362,7 +342,7 @@ def strategy_to_dict(s: Strategy) -> dict:
 def strategy_from_dict(d: dict) -> Strategy:
     return Strategy(
         stages=tuple(
-            StageKernel(tuple(_strategy_rule_from_dict(r) for r in st["rules"]))
+            StageKernel(tuple(_decode(_STRATEGY_RULES, r) for r in st["rules"]))
             for st in d["stages"]
         ),
         stationary_tail=bool(d["stationary_tail"]),
@@ -381,13 +361,13 @@ def model_to_dict(model: MdpModel, strategies: dict | None = None) -> dict:
         "version": FORMAT_VERSION,
         "name": model.name,
         "states": space_to_dict(model.states),
-        "actions": actions_to_dict(model.actions),
+        "actions": _encode(_ACTION_SPACES, model.actions),
         "kernel": {
             "rows": [
                 [[src, act], [[name, enc_number(p)] for name, p in row]]
                 for (src, act), row in model.kernel.rows
             ],
-            "rules": [_rule_to_dict(r) for r in model.kernel.rules],
+            "rules": [_encode(_KERNEL_RULES, r) for r in model.kernel.rules],
         },
         "condition_tags": sorted(model.condition_tags),
         "condition_note": model.condition_note,
@@ -404,7 +384,7 @@ def _kernel_from_dict(d: dict) -> TransitionKernel:
             ((src, act), tuple((name, dec_number(p)) for name, p in row))
             for (src, act), row in d["rows"]
         ),
-        rules=tuple(_rule_from_dict(r) for r in d["rules"]),
+        rules=tuple(_decode(_KERNEL_RULES, r) for r in d["rules"]),
     )
 
 
@@ -436,7 +416,7 @@ def model_from_dict(d: dict) -> ModelDocument:
     model = MdpModel(
         name=_field(d, "name"),
         states=_field(d, "states", space_from_dict),
-        actions=_field(d, "actions", actions_from_dict),
+        actions=_field(d, "actions", lambda a: _decode(_ACTION_SPACES, a)),
         kernel=kernel,
         condition_tags=_field(d, "condition_tags", frozenset, ()),
         condition_note=_field(d, "condition_note", default=""),

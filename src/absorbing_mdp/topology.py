@@ -31,7 +31,6 @@ from .measure import (
     ActionMixture,
     CONTINUOUS,
     CARATHEODORY,
-    DEFAULT_INTEGRATE_TOL,
     HybridMeasure,
     MeasureError,
     StateAtom,
@@ -164,7 +163,6 @@ def check_convergence(
     limit: HybridMeasure,
     battery: TestBattery,
     tol: float = DEFAULT_TOPOLOGY_TOL,
-    integrate_tol: float | None = None,
 ) -> ConvergenceReport:
     """Battery-relative convergence of a measure sequence to a limit.
 
@@ -176,7 +174,6 @@ def check_convergence(
     sequence = list(sequence)
     if not sequence:
         raise MeasureError("need at least one measure in the sequence")
-    itol = DEFAULT_INTEGRATE_TOL if integrate_tol is None else integrate_tol
     if battery.mode == "s":
         sequence = [marginal_state(mu) for mu in sequence]
         limit = marginal_state(limit)
@@ -188,8 +185,8 @@ def check_convergence(
     floor = 10 * tol_exact
     traces = []
     for f in battery.functions:
-        lim_val = integrate(limit, f, itol)
-        vals = [integrate(mu, f, itol) for mu in sequence]
+        lim_val = integrate(limit, f)
+        vals = [integrate(mu, f) for mu in sequence]
         gaps = [abs(v - lim_val) for v in vals]
         tail = gaps[start:]
         converged = all(g.certainly_le(tol_exact) for g in tail)
@@ -250,7 +247,7 @@ def determinism_defect(mu: HybridMeasure) -> Number:
     segment are found by index on one integer grid, floats taken as the
     binary rationals they are, so a cell one ulp wide counts like any
     other.  While the sum is exact, a segment whose components are all in
-    the measure's joint cell table is summed from the table, as integers
+    the measure's cell table is summed from the table, as integers
     (`_tabled_defect`)."""
     if not isinstance(mu.domain.actions, FiniteActions):
         raise MeasureError("determinism defect needs a finite action space")
@@ -278,7 +275,7 @@ def determinism_defect(mu: HybridMeasure) -> Number:
         top = max(cell.values(), key=lambda v: v.value)
         defect = defect + (total - top)
 
-    table = _cell_table(mu, True) if seg_comps else None
+    table = _cell_table(mu) if seg_comps else None
     for segment, comps in seg_comps.items():
         if defect.is_exact and all(i in table.rows for i, _, _ in comps):
             defect = defect + Number(_tabled_defect(table, segment))
@@ -324,11 +321,11 @@ def determinism_defect(mu: HybridMeasure) -> Number:
 
 
 def _tabled_defect(table, segment: str) -> Fraction:
-    """The defect on one segment from the groups of a joint cell table, one
-    group (d, q, cells) per action: every group on one grid, D and Q the
-    lcm of the d and of the q, each action's mass on each cell of the
-    common refinement an integer over Q, and Σ (total − top)·(hi − lo) one
-    integer over Q·D."""
+    """The defect on one segment from the groups of a cell table, one group
+    (d, q, cells) per action: every group on one grid, D and Q the lcm of
+    the d and of the q, each action's mass on each cell of the common
+    refinement an integer over Q, and Σ (total − top)·(hi − lo) one integer
+    over Q·D."""
     groups = [group for (seg, _), group in table.groups.items() if seg == segment]
     D = math.lcm(*(d for d, _, _ in groups))
     Q = math.lcm(*(q for _, q, _ in groups))

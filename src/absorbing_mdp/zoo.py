@@ -217,7 +217,7 @@ def example1(mu: ActionDensity | None = None) -> ZooEntry:
     x0 = space.segment_point("0", F(0))
     if mu is None:
         mu = ActionDensity((F(0), F(1)), (ONE,))
-    mu_mean = _density_poly_integral(mu, _X_POLY)
+    mu_mean = _X_POLY.integral_against(mu.breaks, mu.heights)
 
     def second_stage() -> StageKernel:
         return StageKernel((StrategyRule(dist=mu),))
@@ -428,10 +428,6 @@ def example1(mu: ActionDensity | None = None) -> ZooEntry:
             "second-stage distribution defaults to Uniform(0, 1)"
         ),
     )
-
-
-def _density_poly_integral(d: ActionDensity, poly: PiecewisePoly) -> Number:
-    return poly.integral_against(d.breaks, d.heights)
 
 
 # -- example 2: countable ladder with a limit state ------------------------

@@ -281,6 +281,16 @@ def test_grouped_pass_raises_what_the_loop_raises(mu, g):
     assert outcome(lambda: integrate(mu, g)) == outcome(lambda: reference_integrate(mu, g))
 
 
+@settings(max_examples=100, deadline=None)
+@given(measures(marginal_ok=True), st.lists(st.one_of(functions(), functions(faulty=True)), min_size=2, max_size=4))
+def test_joint_and_state_only_functions_read_one_table(mu, gs):
+    # the first function builds the measure's one cell table, the rest read
+    # it: a joint function its atom groups, a state-only one every group,
+    # those of the components under no action part (action None) included
+    for g in gs:
+        assert outcome(lambda: integrate(mu, g)) == outcome(lambda: reference_integrate(mu, g))
+
+
 @settings(max_examples=40, deadline=None)
 @given(measures(atoms_only=True), functions())
 def test_atom_only_measures_keep_their_exact_value(mu, g):
@@ -707,15 +717,15 @@ def _counting_tables(monkeypatch):
     built = []
 
     class Counting(measure._CellTable):
-        def __init__(self, mu, joint):
-            built.append(joint)
-            super().__init__(mu, joint)
+        def __init__(self, mu):
+            built.append(id(mu))
+            super().__init__(mu)
 
     monkeypatch.setattr(measure, "_CellTable", Counting)
     return built
 
 
-def test_a_cell_table_is_built_once_per_arity_and_dies_with_its_measure(monkeypatch):
+def test_a_cell_table_is_built_once_per_measure_and_dies_with_it(monkeypatch):
     built = _counting_tables(monkeypatch)
     entry = remark1(depth=4)
     mu = occupation_unroll(entry.model, entry.families["alternating"].generator(4), entry.x0, 2).measure
@@ -723,16 +733,17 @@ def test_a_cell_table_is_built_once_per_arity_and_dies_with_its_measure(monkeypa
     assert len(battery) == 7 and all(f.arity == "state_action" for f in battery)
     for f in battery:
         assert integrate(mu, f) == reference_integrate(mu, f)
-    assert built == [True]
+    assert built == [id(mu)]
     x = PiecewisePoly((F(0), F(1)), ((F(0), F(1)),))
     factor = StateFactor(segment_polys=(("unit", x),), atom_values=(("start", F(0)), ("Delta", F(0))))
     for name in ("x", "x again"):
         g = structured_state_function(name, CONTINUOUS, factor, F(1))
         assert integrate(mu, g) == reference_integrate(mu, g)
-    assert built == [True, False]
+    # the state-only functions read the table the joint ones built
+    assert built == [id(mu)]
 
     key, alive = id(mu), weakref.ref(mu)
-    assert set(measure._TABLES[key]) == {(True,), (False,)}
+    assert set(measure._TABLES[key]) == {()}
     del mu
     gc.collect()
     assert alive() is None
@@ -762,8 +773,10 @@ def test_functions_that_take_different_components_share_one_table(monkeypatch):
         joint("no-t", MEASURABLE, ((StateFactor((("s", x), ("t", on_t_float))), af),), BOUND),
         # an inexact value at action "1": the same
         joint("no-1", MEASURABLE, ((StateFactor((("s", x), ("t", on_t))), af_float),), BOUND),
+        # a state-only function reads every group of a segment
+        structured_state_function("state", MEASURABLE, StateFactor((("s", x), ("t", on_t))), BOUND),
     ]
     for g in funcs:
         assert outcome(lambda: integrate(mu, g)) == outcome(lambda: reference_integrate(mu, g))
-    assert [integrate(mu, g).is_exact for g in funcs] == [True, False, False]
-    assert built == [True]
+    assert [integrate(mu, g).is_exact for g in funcs] == [True, False, False, True]
+    assert built == [id(mu)]

@@ -1,21 +1,40 @@
 """JSON schemas: round trips must be bit-exact and self-describing."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from absorbing_mdp import (
     ActionAtom,
     ActionDensity,
     ActionMixture,
+    ActionPushforward,
+    AtomDecl,
+    ConvergentSeq,
     Domain,
+    FiniteActions,
+    FixedDiffuse,
+    FromRegion,
     HybridMeasure,
+    ISOLATED,
+    IntervalActions,
+    LIMIT_POINT,
+    MdpModel,
     MeasureComponent,
     Number,
     ONE,
+    SegmentDecl,
+    SegmentSelector,
+    StageKernel,
     StateAtom,
     StateDensity,
+    StateSpace,
+    Strategy,
+    StrategyRule,
+    TransitionKernel,
     occupation_unroll,
 )
 from absorbing_mdp.serialize import (
@@ -115,20 +134,65 @@ def test_format_and_version_are_enforced():
         ("states", [], "bad model field 'states'"),
         ("actions", {"type": "finite"}, "bad model field 'actions': missing 'names'"),
         ("actions", {"type": "cube"}, "bad model field 'actions': unknown action space type"),
+        ("actions", {"type": ["finite"]}, "bad model field 'actions': unknown action space type ['finite']"),
+        ("actions", {"names": ["go"]}, "bad model field 'actions': missing 'type'"),
         ("frontier", 3, "bad model field 'frontier'"),
         ("strategies", [1], "bad model field 'strategies'"),
+        ("kernel", {"rows": [], "rules": [{"type": "warp"}]}, "bad model field 'kernel': unknown kernel rule type 'warp'"),
+        (
+            "strategies",
+            {"s": {"stages": [{"rules": [{"type": "coin"}]}], "stationary_tail": True}},
+            "bad model field 'strategies': unknown strategy rule type 'coin'",
+        ),
+        (
+            "strategies",
+            {"s": {"stages": [{"rules": [{"type": "rule", "dist": {"type": "blob"}}]}], "stationary_tail": True}},
+            "bad model field 'strategies': unknown action part type 'blob'",
+        ),
+        (
+            "strategies",
+            {"s": {"stages": [{"rules": [{"type": "selector", "segment": "s"}]}], "stationary_tail": True}},
+            "bad model field 'strategies': missing 'breaks'",
+        ),
+        # state parts stand only in measure documents, whose errors name no field
+        ("components", [{"state": {"type": "state-blob"}, "weight": "1/1"}], "unknown state part type 'state-blob'"),
     ],
 )
 def test_a_document_of_the_wrong_shape_names_its_field(field, value, message):
-    entry = example1()
-    doc = model_to_dict(entry.model, entry.strategies)
+    if field == "components":
+        doc, decode = measure_to_dict(all_parts_measure()), measure_from_dict
+    else:
+        entry = example1()
+        doc, decode = model_to_dict(entry.model, entry.strategies), model_from_dict
     if value is None:
         del doc[field]
     else:
         doc[field] = value
     with pytest.raises(FormatError) as caught:
-        model_from_dict(doc)
+        decode(doc)
     assert str(caught.value).startswith(message)
+
+
+# (bytes, sha256) of dumps(model_to_dict(...)) for each zoo model with its
+# strategies and every explored family strategy, as `amdp --zoo` loads them;
+# the bytes rest on json.dumps and on float repr
+ZOO_DOCUMENTS = {
+    "example1": (20805, "ec8d93bc2446041e403a9db7f36c7fefdb9492e36574eb564ae7e4fa95c01133"),
+    "example2": (80311, "e3363890de6199ede8dc5c932953dce9fc0881473065e391b4ea05c55ca9df16"),
+    "remark1": (789779, "f42fb559a0758f96cce6d6ea2f51c075e9fd1afe084588988547fbd88362f908"),
+    "remark2": (14910, "b32a97bb900fadc8ef6c8e6e9c38dd8e988796b38963f382a7b5be8da33fdaa4"),
+}
+
+
+@pytest.mark.parametrize("entry_name", sorted(ZOO))
+def test_zoo_model_documents_keep_their_bytes(entry_name):
+    entry = ZOO[entry_name]()
+    strategies = dict(entry.strategies)
+    for family in entry.families.values():
+        for name, s in family.explored():
+            strategies.setdefault(name, s)
+    text = dumps(model_to_dict(entry.model, strategies)).encode()
+    assert (len(text), hashlib.sha256(text).hexdigest()) == ZOO_DOCUMENTS[entry_name]
 
 
 # -- measures --------------------------------------------------------------
@@ -212,3 +276,200 @@ def test_dumps_is_deterministic():
     entry = example1()
     doc = model_to_dict(entry.model, entry.strategies)
     assert dumps(doc) == dumps(json.loads(dumps(doc)))
+
+
+# -- drawn round trips (hypothesis) ----------------------------------------
+#
+# Exact and float Numbers and positions, action names that read as numbers
+# ("1/2") next to the coordinate 1/2, and every key a decoder may find absent.
+
+NAMES = ["a", "b", "1/2", "0/1"]
+exact = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+floats = st.floats(allow_nan=False, allow_infinity=False)
+positions = st.one_of(exact, floats, st.just(F(1, 2)), st.just(0.5))
+masses = st.one_of(
+    st.builds(F, st.integers(0, 60), st.integers(1, 12)).map(Number),
+    st.builds(Number.approx, st.floats(0, 1e6), st.one_of(st.just(0.0), st.floats(0, 1.0))),
+)
+texts = st.sampled_from(NAMES)
+
+
+def increasing(draw, lo=None, hi=None, min_size=2):
+    """Strictly increasing positions, from lo to hi when given."""
+    inner = draw(st.lists(positions, min_size=min_size, max_size=4, unique=True))
+    if lo is not None:
+        inner = [x for x in inner if lo < x < hi]
+        return (lo, *sorted(inner), hi)
+    return tuple(sorted(inner))
+
+
+@st.composite
+def spaces(draw):
+    names = draw(st.lists(texts, unique=True, max_size=3))
+    atoms = [AtomDecl(n, ISOLATED, draw(st.none() | positions)) for n in names]
+    sequences = ()
+    if names and draw(st.booleans()):
+        atoms.append(AtomDecl("L", LIMIT_POINT, draw(st.none() | positions)))
+        sequences = (ConvergentSeq(tuple(names), "L"),)
+    atoms.append(AtomDecl("Delta"))
+    segments = tuple(
+        SegmentDecl(label, *increasing(draw, min_size=2)[:2])
+        for label in draw(st.lists(st.sampled_from(["s", "t"]), unique=True, max_size=2))
+    )
+    return StateSpace(atoms=tuple(atoms), segments=segments, sequences=sequences)
+
+
+@st.composite
+def action_spaces(draw):
+    if draw(st.booleans()):
+        return FiniteActions(tuple(draw(st.lists(texts, unique=True, min_size=1, max_size=3))))
+    return IntervalActions(*increasing(draw)[:2])
+
+
+@st.composite
+def action_parts(draw, actions=None):
+    """An action part, inside `actions` when given."""
+    finite = isinstance(actions, FiniteActions)
+
+    def atom():
+        if actions is None:
+            return ActionAtom(draw(st.one_of(texts, positions)))
+        if finite:
+            return ActionAtom(draw(st.sampled_from(actions.names)))
+        return ActionAtom(draw(st.sampled_from([actions.lo, actions.hi])))
+
+    def density():
+        breaks = increasing(draw) if actions is None else increasing(draw, actions.lo, actions.hi)
+        return ActionDensity(breaks, tuple(draw(masses) for _ in breaks[1:]))
+
+    kinds = ["atom", "mixture"] if finite else ["atom", "density", "mixture"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "mixture":
+        return ActionMixture(tuple(
+            (draw(masses), atom() if finite or draw(st.booleans()) else density())
+            for _ in range(draw(st.integers(0, 3)))
+        ))
+    return atom() if kind == "atom" else density()
+
+
+@st.composite
+def strategy_rules(draw):
+    if draw(st.booleans()):
+        breaks = increasing(draw)
+        return SegmentSelector(draw(texts), breaks, tuple(draw(st.one_of(texts, positions)) for _ in breaks[1:]))
+    atoms = draw(st.none() | st.lists(texts, max_size=2).map(tuple))
+    return StrategyRule(draw(st.none() | action_parts()), atoms, draw(st.none() | texts))
+
+
+strategies_ = st.builds(
+    Strategy,
+    st.lists(st.lists(strategy_rules(), max_size=3).map(lambda rs: StageKernel(tuple(rs))), min_size=1, max_size=3)
+    .map(tuple),
+    st.booleans(),
+)
+regions = st.one_of(
+    st.lists(texts, min_size=1, max_size=2).map(lambda a: FromRegion(atoms=tuple(a))),
+    texts.map(lambda s: FromRegion(segment=s)),
+)
+
+
+@st.composite
+def kernel_rules(draw):
+    if draw(st.booleans()):
+        return ActionPushforward(draw(regions), draw(texts), draw(positions), draw(positions))
+    pieces = []
+    for label in draw(st.lists(texts, max_size=2)):
+        breaks = increasing(draw)
+        pieces.append((label, breaks, tuple(draw(masses) for _ in breaks[1:])))
+    probs = tuple((name, draw(masses)) for name in draw(st.lists(texts, max_size=3)))
+    return FixedDiffuse(draw(regions), probs, tuple(pieces))
+
+
+@st.composite
+def models(draw):
+    keys = draw(st.lists(st.tuples(texts, texts), unique=True, max_size=4))
+    rows = tuple((key, tuple((n, draw(masses)) for n in draw(st.lists(texts, max_size=3)))) for key in keys)
+    return MdpModel(
+        name=draw(texts),
+        states=draw(spaces()),
+        actions=draw(action_spaces()),
+        kernel=TransitionKernel(rows, tuple(draw(st.lists(kernel_rules(), max_size=3)))),
+        condition_tags=frozenset(draw(st.lists(texts, max_size=2))),
+        condition_note=draw(st.sampled_from(["", "note"])),
+        frontier=frozenset(draw(st.lists(texts, max_size=2))),
+    )
+
+
+@st.composite
+def measures(draw):
+    space, actions = draw(spaces()), draw(action_spaces())
+    comps = []
+    for _ in range(draw(st.integers(0, 4))):
+        segs = space.segments
+        kind = draw(st.sampled_from(["atom", "point", "density"] if segs else ["atom"]))
+        if kind == "atom":
+            state = StateAtom(space.point(draw(st.sampled_from([a.name for a in space.atoms]))))
+        else:
+            seg = draw(st.sampled_from(segs))
+            if kind == "point":
+                state = StateAtom(space.segment_point(seg.label, draw(st.sampled_from([seg.lo, seg.hi]))))
+            else:
+                breaks = increasing(draw, seg.lo, seg.hi)
+                state = StateDensity(seg.label, breaks, tuple(draw(masses) for _ in breaks[1:]))
+        comps.append(MeasureComponent(state, draw(st.none() | action_parts(actions)), draw(masses)))
+    return HybridMeasure(Domain(space, actions), tuple(comps))
+
+
+def without_absent_keys(x):
+    """The document x with each key that a decoder reads as absent dropped
+    where it holds the value absence stands for."""
+    if isinstance(x, list):
+        return [without_absent_keys(v) for v in x]
+    if not isinstance(x, dict):
+        return x
+    out = {k: without_absent_keys(v) for k, v in x.items()}
+    if set(out) == {"f", "err"}:
+        absent = {"err": 0.0}
+    elif out.get("type") == "rule":
+        absent = {"atoms": None, "segment": None}
+    elif set(out) == {"name", "topology", "coord"} or out.get("type") == "state-atom" and "atom" in out:
+        absent = {"coord": None}
+    elif set(out) == {"state", "action", "weight"}:
+        absent = {"action": None}
+    elif out.get("format") == "absorbing-mdp/model":
+        absent = {"condition_tags": [], "condition_note": "", "frontier": []}
+    else:
+        absent = {}
+    return {k: v for k, v in out.items() if not (k in absent and v == absent[k] and type(v) is type(absent[k]))}
+
+
+def round_trips(obj, encode, decode):
+    """decode(encode(obj)) == obj through JSON text, with and without the
+    keys that may be absent, and the text written again is the same."""
+    text = dumps(encode(obj))
+    back = decode(json.loads(text))
+    assert back == obj
+    assert dumps(encode(back)) == text
+    assert decode(without_absent_keys(json.loads(text))) == obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategies_)
+def test_drawn_strategies_round_trip(s):
+    round_trips(s, strategy_to_dict, strategy_from_dict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), st.dictionaries(texts, strategies_, max_size=2))
+def test_drawn_models_round_trip(model, strategies):
+    def decode(doc):
+        rt = model_from_dict(doc)
+        return rt.model, rt.strategies
+
+    round_trips((model, strategies), lambda pair: model_to_dict(*pair), decode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(measures())
+def test_drawn_measures_round_trip(mu):
+    round_trips(mu, measure_to_dict, measure_from_dict)
