@@ -7,7 +7,9 @@ the successor, with w pinned to zero at the cemetery.  Iterating
 zero, is monotone and converges to the least fixed point on that truncated
 support.  Exact rows are summed on integers, zero values skipped; inexact
 rows keep `Number` arithmetic, and a max over overlapping intervals is an
-enclosure.
+enclosure.  `verify_supersolution` orders w(x) and Tw(x) only where that
+is certain: float sides whose intervals overlap make its verdict
+`undecided`.
 
 `uniformity_report` tabulates tail sums over a strategy family.  Its
 verdict is honest about finite evidence: a certified witness cell proves
@@ -23,13 +25,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from .numbers import Number, ZERO, ONE, _exact, _frac, _round_up, nsum
+from .numbers import Number, ZERO, ONE, _reduced, _round_up, nsum
 from .mdp import FiniteActions, MdpModel, ModelError, StrategyFamily
 from .occupation import (
     _ACTION_DENSITY,
     SolverError,
     Truncation,
-    _atom_rows,
+    _rows_at,
     expected_hitting_time,
     occupation_countable,
     survival_probs,
@@ -78,11 +80,17 @@ def _apply_at(model: MdpModel, lookup: Callable[[str], Number], atom: str) -> Nu
     only the winner is reduced; `_inexact_rows` takes over at a float."""
     if not isinstance(model.actions, FiniteActions):
         raise SolverError(_ACTION_DENSITY)
-    pairs = ((a, None) for a in model.actions.names)
-    rows = iter(_atom_rows(model, model.states.point(atom), pairs))
+    rows = _rows_at(model, model.states.point(atom))
+    if type(rows) is dict:  # a row for every action, in their order
+        names = model.actions.names
+        if len(rows) < len(names):
+            missing = next(a for a in names if a not in rows)
+            raise ModelError(f"no kernel row for ({atom!r}, {missing!r})")
+        rows = rows.values()
+    rows = iter(rows)
     bn, bd = None, 1
     # rows summed inline: `measure._exact_sum` per row made verify 1.2-1.8x slower
-    for _, row in rows:
+    for row in rows:
         n, d = 0, 1
         terms = iter(row)
         for name, p in terms:
@@ -111,18 +119,12 @@ def _apply_at(model: MdpModel, lookup: Callable[[str], Number], atom: str) -> Nu
     return _reduced(bn + bd, bd)
 
 
-def _reduced(n: int, d: int) -> Number:
-    """The exact Number n/d, for d > 0, in lowest terms."""
-    g = gcd(n, d)
-    return _exact(_frac(n // g, d // g))
-
-
 def _inexact_rows(lookup, best: list, acc: Number, terms, rows) -> Number:
     """The rest of an atom's rows summed as `nsum` would, from `acc` on;
     `best` holds the winner of the exact rows before, if any."""
     for name, p in terms:
         acc = acc + p * lookup(name)
-    totals = [acc] + [nsum(p * lookup(name) for name, p in row) for _, row in rows]
+    totals = [acc] + [nsum(p * lookup(name) for name, p in row) for row in rows]
     return ONE + _sup(best + totals)
 
 
@@ -131,13 +133,18 @@ def _sup(items: list) -> Number:
     or above every other's upper end, as it is among exact items, else a
     float enclosure [max lo, max hi] of the max, rounded outward."""
     i = max(range(len(items)), key=lambda k: items[k].value)
-    los = [Fraction(x.value) - Fraction(x.err) for x in items]
-    his = [Fraction(x.value) + Fraction(x.err) for x in items]
+    los, his = zip(*map(_ends, items))
     if all(los[i] >= h for k, h in enumerate(his) if k != i):
         return items[i]
     lo, hi = max(los), max(his)
     mid = float((lo + hi) / 2)
     return Number.approx(mid, _round_up(max(hi - Fraction(mid), Fraction(mid) - lo)))
+
+
+def _ends(x: Number) -> tuple[Fraction, Fraction]:
+    """The interval value - err, value + err of x, exactly."""
+    v, e = Fraction(x.value), Fraction(x.err)
+    return v - e, v + e
 
 
 def bellman_apply(model: MdpModel, w: ValueFunction, support) -> ValueFunction:
@@ -151,29 +158,41 @@ def bellman_apply(model: MdpModel, w: ValueFunction, support) -> ValueFunction:
 
 @dataclass(frozen=True)
 class VerifyResult:
-    kind: str  # fixed_point | strict_supersolution | violated
+    kind: str  # fixed_point | strict_supersolution | violated | undecided
     state: str | None = None
     details: tuple = ()  # of (atom, w, Tw)
 
 
 def verify_supersolution(model: MdpModel, w: ValueFunction, support) -> VerifyResult:
-    """Exact comparison of w against Tw on the support."""
+    """Certified comparison of w against Tw on the support: exact sides by
+    cross products, a float side by the intervals value +- err.  The first
+    state where w is certainly below Tw makes the verdict `violated`;
+    failing that, the first where the intervals overlap, short of both
+    being one point, makes it `undecided`."""
     details = []
-    first_violation = None
+    violated = undecided = None
     strict = False
     for atom in support:
         lhs = w.value_at(atom)
         rhs = _apply_at(model, w.value_at, atom)
         details.append((atom, lhs, rhs))
-        # exact sides compare by cross products, inexact ones by value,
-        # both formed once
         r, l = rhs._ordered(lhs)
-        if l < r and first_violation is None:
-            first_violation = atom
-        elif l > r:
+        if type(l) is int:  # both exact: the cross products, formed once
+            lo = hi = l
+            rlo = rhi = r
+        else:
+            (lo, hi), (rlo, rhi) = _ends(lhs), _ends(rhs)
+        if hi < rlo:
+            if violated is None:
+                violated = atom
+        elif lo > rhi:
             strict = True
-    if first_violation is not None:
-        return VerifyResult("violated", first_violation, tuple(details))
+        elif undecided is None and not lo == hi == rlo == rhi:
+            undecided = atom
+    if violated is not None:
+        return VerifyResult("violated", violated, tuple(details))
+    if undecided is not None:
+        return VerifyResult("undecided", undecided, tuple(details))
     if strict:
         return VerifyResult("strict_supersolution", None, tuple(details))
     return VerifyResult("fixed_point", None, tuple(details))

@@ -151,6 +151,12 @@ class MdpModel:
         for an atom point, `FromRegion.matches` reads only the name."""
         return {}
 
+    @cached_property
+    def _kept_rows(self) -> dict:
+        """Atom name -> its checked kernel rows, filled by
+        `occupation._rows_at` once the atom's rule is resolved."""
+        return {}
+
 
 def resolve_rule(model: MdpModel, part: StatePart) -> KernelRule | str:
     """The governing rule for a state part: the literal string "table" for

@@ -367,6 +367,27 @@ def _sum(na: int, da: int, nb: int, db: int) -> Fraction:
     return _frac(t // g2, s * (db // g2))
 
 
+def _add_unreduced(n: int, d: int, tn: int, td: int) -> tuple[int, int]:
+    """n/d + tn/td, for d, td > 0, left unreduced over the lcm of the two
+    denominators: an equal one, or one that divides the other, costs no
+    gcd."""
+    if td == d:
+        return n + tn, d
+    q, r = divmod(d, td) if td < d else divmod(td, d)
+    if r:
+        g = gcd(d, td)
+        return n * (td // g) + tn * (d // g), d // g * td
+    if td < d:
+        return n + tn * q, d
+    return n * q + tn, td
+
+
+def _reduced(n: int, d: int) -> Number:
+    """The exact Number n/d, for d > 0, in lowest terms."""
+    g = gcd(n, d)
+    return _exact(_frac(n // g, d // g))
+
+
 def _prod(na: int, da: int, nb: int, db: int) -> Fraction:
     """na/da * nb/db, cancelling each numerator against the other
     denominator before multiplying."""

@@ -24,19 +24,34 @@ Two solver paths:
   is a library construction, valid whenever q really bounds the
   continuation probability beyond the frontier.
 
+  How the tail is computed is decided once per solve.  When every prefix
+  mass, strategy weight and reachable row probability is an exact
+  `Fraction`, it runs on integers: `_tail_transitions` sums successor
+  masses as Fractions by the kernel of `numbers` (`_prod`, `_sum`; a
+  weight of ONE costs no product), and `_exact_classes` keeps each state's
+  inflow as one unreduced sum n/d (`numbers._add_unreduced`), reduces it
+  once when the state comes up, divides it by the escape, and boxes each
+  occupation weight once (Kemeny & Snell, ch. III; Knuth, TAOCP 2,
+  section 4.5.1).  A larger class is solved there by fraction-free
+  elimination on integers (`_bareiss_visits`, Bareiss 1968), not by
+  Gauss-Jordan in Numbers.  Any float, met anywhere on the way, sends the
+  whole tail to `_number_classes` on `Number` transition data, with the
+  bits it always had; there `_route` and the class loop take ONE * p as p
+  and ZERO + m as m when p or m is exact (`_times`, `_plus`).
+
 Both paths, and the hitting-time operator in `absorption`, share one
-atom-routing core.  `_atom_rows` reads an atom's kernel rule from the
-model's rules resolved so far (`MdpModel._atom_rules`, by atom name: a
-region matches an atom point by its name alone) and fetches its rows for
-the actions it is given (one action-independent row for a diffuse rule); it
-refuses a density target or a segment rule with a `SolverError`, which the
-unroll path avoids by handling those rules itself.  `_route` sends each
-weighted term of a row to the cemetery, the frontier's running total or the
-in-play masses.  It, and the countable solve's class loop, take ONE * p as
-p and ZERO + m as m when p or m is exact (`_times`, `_plus`); a float
-operand keeps its arithmetic.  The countable measure is built by
-`_trusted`: its states are the space's points, and every weight and each
-distinct action are checked.
+atom-routing core.  `_rows_at` keeps an atom's checked kernel rows on the
+model (`MdpModel._kept_rows`, by atom name: a region matches an atom point
+by its name alone), its rule resolved once (`MdpModel._atom_rules`); a
+lookup that raises keeps nothing.  It refuses a density target or a
+segment rule with a `SolverError`, which the unroll path avoids by
+handling those rules itself.  `_atom_rows` pairs the kept rows with the
+weights of the actions played (one action-independent row for a diffuse
+rule), and `_route` sends each weighted term of a row to the cemetery, the
+frontier's running total or the in-play masses.  The countable measure is
+built by `_trusted`: its states are the space's points, every weight is
+checked (a Fraction by its numerator's sign) and so is each distinct
+action.
 
 `occupation_countable` solves each instance once while its strategy object
 lives: a repeated call with the same strategy object, the same model object
@@ -53,9 +68,10 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .memo import remembered
-from .numbers import Number, ZERO, ONE, _round_up, nsum
+from .numbers import Number, ZERO, ONE, _add_unreduced, _exact, _frac, _prod, _reduced, _round_up, _sum, nsum
 from .measure import (
     ActionAtom,
     ActionMixture,
@@ -79,7 +95,7 @@ from .mdp import (
     Strategy,
     resolve_rule,
 )
-from .spaces import StatePoint
+from .spaces import FiniteActions, StatePoint
 
 
 class SolverError(Exception):
@@ -159,32 +175,49 @@ def _is_zero(n: Number) -> bool:
     return n.is_exact and n.value == 0
 
 
-def _atom_rows(model: MdpModel, point: StatePoint, pairs):
-    """The kernel rows leaving the atom at `point`, its rule resolved once.
-    With table rows: (w, row) for each (action, w) of `pairs`, in order,
-    fetching rows only for those actions.  With a FixedDiffuse rule: the
-    single (None, row) of its atom targets, whatever the actions.  A density
-    target or a segment rule is refused."""
+def _rows_at(model: MdpModel, point: StatePoint):
+    """The kept kernel rows of the atom at `point` (`MdpModel._kept_rows`),
+    its rule resolved once: with table rows, a dict action -> row of the
+    declared finite actions that have one, in their order; with a
+    FixedDiffuse rule, the 1-tuple of its atom targets.  A density target
+    or a segment rule is refused, and a lookup that raises keeps nothing."""
     atom = point.atom
+    rows = model._kept_rows.get(atom)
+    if rows is not None:
+        return rows
     rules = model._atom_rules
     rule = rules.get(atom)
-    if rule is None:  # a lookup that raises keeps nothing
+    if rule is None:
         rule = rules[atom] = resolve_rule(model, StateAtom(point))
     if rule == "table":
-        out = []
-        for a, w in pairs:
-            row = model.kernel.row(atom, a)
-            if row is None:
-                raise ModelError(f"no kernel row for ({atom!r}, {a!r})")
-            out.append((w, row))
-        return out
-    if isinstance(rule, FixedDiffuse):
-        if not rule.pieces:
-            return [(None, rule.atom_probs)]
-        cause = "a density target"
+        names = model.actions.names if isinstance(model.actions, FiniteActions) else ()
+        rows = {a: r for a in names if (r := model.kernel.row(atom, a)) is not None}
+    elif isinstance(rule, FixedDiffuse):
+        if rule.pieces:
+            raise SolverError("atomic solver met a density target")
+        rows = (rule.atom_probs,)
     else:
-        cause = "a segment embedding rule"
-    raise SolverError(f"atomic solver met {cause}")
+        raise SolverError("atomic solver met a segment embedding rule")
+    model._kept_rows[atom] = rows
+    return rows
+
+
+def _atom_rows(model: MdpModel, point: StatePoint, pairs):
+    """The kernel rows leaving the atom at `point`, from its kept rows.
+    With table rows: (w, row) for each (action, w) of `pairs`, in order (an
+    action outside the declared ones is looked up in the kernel).  With a
+    FixedDiffuse rule: the single (None, row) of its atom targets, whatever
+    the actions."""
+    rows = _rows_at(model, point)
+    if type(rows) is tuple:
+        return [(None, rows[0])]
+    out = []
+    for a, w in pairs:
+        row = rows.get(a)
+        if row is None and (row := model.kernel.row(point.atom, a)) is None:
+            raise ModelError(f"no kernel row for ({point.atom!r}, {a!r})")
+        out.append((w, row))
+    return out
 
 
 def _times(w: Number, p: Number) -> Number:
@@ -371,16 +404,19 @@ def _atomic_step(model: MdpModel, stage, dist, occ, frontier: Number):
     return nxt, frontier
 
 
-def _tail_transitions(model: MdpModel, stage, support):
+def _tail_transitions(model: MdpModel, stage, support, exact: bool = False):
     """Strategy-fixed transition data over atoms reachable from `support`:
     per-state successor masses in play, stay probability, action pairs and
-    continue-in-play probability (frontier counts as still in play)."""
+    continue-in-play probability (frontier counts as still in play).  With
+    `exact`, the masses are Fractions summed on the integer kernel
+    (`_exact_route`), and None is returned at the first weight or
+    probability that is not one."""
     space = model.states
-    trans: dict[str, dict[str, Number]] = {}
-    stay: dict[str, Number] = {}
+    trans: dict[str, dict] = {}
+    stay: dict = {}
     acts: dict[str, list] = {}
-    cont: dict[str, Number] = {}
-    frontier_p: dict[str, Number] = {}
+    cont: dict = {}
+    frontier_p: dict = {}
     todo = sorted(support)
     seen = set(todo)
     while todo:
@@ -388,12 +424,21 @@ def _tail_transitions(model: MdpModel, stage, support):
         point = space.point(atom)
         pairs = _decompose_atoms(stage.dist_at(point))
         acts[atom] = pairs
-        out: dict[str, Number] = {}
-        fr = ZERO
-        for wa, row in _atom_rows(model, point, pairs):
-            fr = _route(model, row, wa, out, fr)
-        cont[atom] = ONE - out.pop(space.cemetery, ZERO)
-        stay[atom] = out.pop(atom, ZERO)
+        out: dict = {}
+        rows = _atom_rows(model, point, pairs)
+        if exact:
+            fr = _exact_route(model, pairs, rows, out)
+            if fr is None:
+                return None
+            absorbed = out.pop(space.cemetery, _F0)
+            cont[atom] = _frac(absorbed._denominator - absorbed._numerator, absorbed._denominator)
+            stay[atom] = out.pop(atom, _F0)
+        else:
+            fr = ZERO
+            for wa, row in rows:
+                fr = _route(model, row, wa, out, fr)
+            cont[atom] = ONE - out.pop(space.cemetery, ZERO)
+            stay[atom] = out.pop(atom, ZERO)
         trans[atom] = out
         frontier_p[atom] = fr
         for name in out:
@@ -401,6 +446,35 @@ def _tail_transitions(model: MdpModel, stage, support):
                 seen.add(name)
                 todo.append(name)
     return trans, stay, acts, cont, frontier_p
+
+
+_F0 = ZERO.value
+
+
+def _exact_route(model: MdpModel, pairs, rows, into: dict):
+    """`_route` of each weighted row of `rows` on Fractions, by `_prod` and
+    `_sum`; a weight that is ONE (or None) costs no product.  Returns the
+    frontier total, or None if a weight of `pairs` or a probability is not
+    a Fraction."""
+    if any(type(w.value) is not Fraction for _, w in pairs):
+        return None
+    cemetery, frontier = model.states.cemetery, model.frontier
+    fr = _F0
+    for wa, row in rows:
+        w = None if wa is None or wa is ONE else wa.value
+        for name, p in row:
+            m = p.value
+            if type(m) is not Fraction:
+                return None
+            if w is not None:
+                m = _prod(w._numerator, w._denominator, m._numerator, m._denominator)
+            if name in frontier and name != cemetery:
+                fr = _sum(fr._numerator, fr._denominator, m._numerator, m._denominator)
+            elif (old := into.get(name)) is None:
+                into[name] = m
+            else:
+                into[name] = _sum(old._numerator, old._denominator, m._numerator, m._denominator)
+    return fr
 
 
 def _classes(trans, nodes):
@@ -496,10 +570,7 @@ def _class_visits(members, trans, stay, enter) -> dict[str, Number]:
     for k in range(n):
         piv = next((r for r in range(k, n) if _certainly_nonzero(rows[r].get(k, ZERO))), None)
         if piv is None:
-            raise CountableSolverError(
-                f"no mass can leave the class of {members[0]!r} ({n} states), so its "
-                "occupation is not finite, or float error hides the escape"
-            )
+            raise _closed_class_error(members)
         rows[k], rows[piv] = rows[piv], rows[k]
         prow = rows[k]
         d = prow.pop(k)
@@ -513,6 +584,56 @@ def _class_visits(members, trans, stay, enter) -> dict[str, Number]:
             for c, v in prow.items():
                 row[c] = row.get(c, ZERO) - f * v
     return {x: rows[col[x]].get(n, ZERO) for x in members}
+
+
+def _closed_class_error(members) -> CountableSolverError:
+    return CountableSolverError(
+        f"no mass can leave the class of {members[0]!r} ({len(members)} states), so its "
+        "occupation is not finite, or float error hides the escape"
+    )
+
+
+def _bareiss_visits(members, trans, stay, inflow) -> dict[str, Fraction]:
+    """`_class_visits` for the Fraction data of an exact tail, with each
+    member's inflow an unreduced pair (n, d), by fraction-free elimination
+    on integers (Bareiss, Math. Comp. 22, 1968): each row of
+    (I - Q_C)^T | enter_C is scaled to integers, each elimination step
+    divides exactly by the pivot before it, and back substitution gives
+    det * v, so each visit is reduced once."""
+    n = len(members)
+    col = {x: i for i, x in enumerate(members)}
+    a = [[_F0] * n + [Fraction(*inflow.get(y, (0, 1)))] for y in members]
+    for x, i in col.items():
+        s = stay[x]
+        a[i][i] = _frac(s._denominator - s._numerator, s._denominator)
+        for dst, p in trans[x].items():
+            j = col.get(dst)
+            if j is not None:
+                a[j][i] = _frac(-p._numerator, p._denominator)
+    for r, row in enumerate(a):
+        scale = lcm(*{f._denominator for f in row})
+        a[r] = [f._numerator * (scale // f._denominator) if f._numerator else 0 for f in row]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            raise _closed_class_error(members)
+        a[k], a[piv] = a[piv], a[k]
+        top = a[k]
+        p = top[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            if f:
+                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+            else:
+                row[k + 1:] = [p * x // prev if x else 0 for x in row[k + 1:]]
+        prev = p
+    scaled = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        t = prev * row[n] - sum(row[j] * scaled[j] for j in range(i + 1, n) if row[j])
+        scaled[i] = t // row[i]
+    return {x: Fraction(scaled[col[x]], prev) for x in members}
 
 
 # id(strategy) -> {(id(model), x0, trunc, type, continue_bound):
@@ -557,7 +678,14 @@ def _countable(model, strategy, x0, trunc, continue_bound) -> OccupationResult:
 
     tail_stage = strategy.stage(prefix)
     support = [a for a, m in dist.items() if not _is_zero(m)]
-    trans, stay, acts, cont, frontier_p = _tail_transitions(model, tail_stage, support)
+    # the tail runs on integers only if every mass, weight and probability
+    # it meets is a Fraction; otherwise all of it runs on Numbers
+    exact = type(frontier.value) is Fraction and all(type(m.value) is Fraction for m in dist.values())
+    data = _tail_transitions(model, tail_stage, support, exact) if exact else None
+    if data is None:
+        exact = False
+        data = _tail_transitions(model, tail_stage, support)
+    trans, stay, acts, cont, frontier_p = data
     nodes = sorted(trans)
     if len(nodes) > trunc.states:
         raise CountableSolverError(
@@ -565,8 +693,22 @@ def _countable(model, strategy, x0, trunc, continue_bound) -> OccupationResult:
         )
 
     classes, comp = _classes(trans, nodes)
-    enter = {n: dist.get(n, ZERO) for n in nodes}
-    for members in _class_order(trans, classes, comp):
+    solve = _exact_classes if exact else _number_classes
+    frontier = solve(_class_order(trans, classes, comp), trans, stay, acts, frontier_p, dist, occ, frontier)
+    tail = frontier * _cap(cont, continue_bound, needed=not _is_zero(frontier))
+    return _countable_result(model, occ, tail)
+
+
+def _escape_error(x: str) -> CountableSolverError:
+    return CountableSolverError(f"state {x!r} never leaves itself, or float error hides its escape")
+
+
+def _number_classes(order, trans, stay, acts, frontier_p, dist, occ, frontier: Number) -> Number:
+    """The classes of `order` solved in Number arithmetic: their visits
+    added to `occ` by (state, action) and their outflow to the inflow of
+    the classes after them.  Returns the frontier total."""
+    enter = {n: dist.get(n, ZERO) for n in trans}
+    for members in order:
         if len(members) == 1:
             x = members[0]
             inflow = enter[x]
@@ -574,9 +716,7 @@ def _countable(model, strategy, x0, trunc, continue_bound) -> OccupationResult:
                 continue
             escape = ONE - stay[x]
             if not _certainly_nonzero(escape):
-                raise CountableSolverError(
-                    f"state {x!r} never leaves itself, or float error hides its escape"
-                )
+                raise _escape_error(x)
             visits = {x: inflow / escape}
         else:
             if all(_is_zero(enter[x]) for x in members):
@@ -593,9 +733,51 @@ def _countable(model, strategy, x0, trunc, continue_bound) -> OccupationResult:
             # times an exact zero would add a 0.0 carrying rounding slop
             if not _is_zero(frontier_p[x]):
                 frontier = _plus(frontier, v * frontier_p[x])
+    return frontier
 
-    tail = frontier * _cap(cont, continue_bound, needed=not _is_zero(frontier))
-    return _countable_result(model, occ, tail)
+
+def _exact_classes(order, trans, stay, acts, frontier_p, dist, occ, frontier: Number) -> Number:
+    """`_number_classes` on integers, for the Fraction data of an exact
+    `_tail_transitions`: a state's inflow is one unreduced sum n/d
+    (`_add_unreduced`), reduced once when its class comes up; a single
+    state's visits are that over its escape, and a larger class is solved
+    by `_bareiss_visits`.  Each occupation weight is boxed once."""
+    inflow = {x: (m.value._numerator, m.value._denominator) for x, m in dist.items()}
+    fn, fd = frontier.value._numerator, frontier.value._denominator
+    for members in order:
+        if len(members) == 1:
+            x = members[0]
+            n, d = inflow.get(x, (0, 1))
+            if not n:
+                continue
+            g = gcd(n, d)
+            s = stay[x]
+            en, ed = s._denominator - s._numerator, s._denominator
+            if not en:
+                raise _escape_error(x)
+            if en < 0:
+                en, ed = -en, -ed
+            visits = {x: _prod(n // g, d // g, ed, en) if s._numerator else _frac(n // g, d // g)}
+        else:
+            if not any(inflow.get(x, (0,))[0] for x in members):
+                continue
+            visits = _bareiss_visits(members, trans, stay, inflow)
+        for x, v in visits.items():
+            vn, vd = v._numerator, v._denominator
+            for a, wa in acts[x]:
+                f = wa.value
+                w = _exact(v if wa is ONE else _prod(f._numerator, f._denominator, vn, vd))
+                old = occ.get(key := (x, a))
+                occ[key] = w if old is None else old + w
+            for dst, p in trans[x].items():
+                if dst not in visits:
+                    tn, td = vn * p._numerator, vd * p._denominator
+                    old = inflow.get(dst)
+                    inflow[dst] = (tn, td) if old is None else _add_unreduced(*old, tn, td)
+            p = frontier_p[x]
+            if p._numerator:
+                fn, fd = _add_unreduced(fn, fd, vn * p._numerator, vd * p._denominator)
+    return _reduced(fn, fd)
 
 
 def _cap(cont: dict, continue_bound, needed: bool) -> Number:
@@ -603,12 +785,13 @@ def _cap(cont: dict, continue_bound, needed: bool) -> Number:
     frontier mass (`needed` False) nothing uses it, and it is ONE."""
     if not needed:
         return ONE
+    qs = [Number.lift(c) for c in cont.values()]  # an exact solve's are Fractions
     if continue_bound is not None:
         q = Number.lift(continue_bound)
-    elif all(c.is_exact for c in cont.values()):
-        q = max(cont.values(), default=ZERO)
+    elif all(c.is_exact for c in qs):
+        q = max(qs, default=ZERO)
     else:  # the largest certified upper end, not the largest central value
-        q = Number.approx(_round_up(max(Fraction(c.value) + Fraction(c.err) for c in cont.values())))
+        q = Number.approx(_round_up(max(Fraction(c.value) + Fraction(c.err) for c in qs)))
     if q >= ONE:
         raise CountableSolverError(
             "no absorption certificate: continuation probability reaches 1; "
@@ -623,14 +806,17 @@ def _countable_result(model: MdpModel, occ: dict, tail: Number) -> OccupationRes
     comps = []
     checked: dict = {}  # action -> its checked ActionAtom
     for (atom, action), w in occ.items():
-        if _is_zero(w):
-            continue
-        _validate_weight(w, "component")
+        v = w.value
+        if type(v) is not Fraction or v._numerator <= 0:  # else positive
+            if _is_zero(w):
+                continue
+            _validate_weight(w, "component")
         a = checked.get(action)
         if a is None:
             a = checked[action] = ActionAtom(action)
             _validate_action(domain.actions, a)
-        comps.append(MeasureComponent(StateAtom(space.point(atom)), a, w))
+        state = _trusted(StateAtom, point=space.point(atom))
+        comps.append(_trusted(MeasureComponent, state=state, action=a, weight=w))
     return OccupationResult(_trusted(HybridMeasure, domain=domain, components=tuple(comps)), tail, "countable")
 
 

@@ -312,19 +312,19 @@ def measure_to_dict(mu: HybridMeasure) -> dict:
 
 def measure_from_dict(d: dict) -> HybridMeasure:
     _expect(d, "absorbing-mdp/measure")
-    domain = Domain(
-        space_from_dict(d["domain"]["states"]),
-        _decode(_ACTION_SPACES, d["domain"]["actions"]),
+    domain = _field(
+        d, "domain", lambda x: Domain(space_from_dict(x["states"]), _decode(_ACTION_SPACES, x["actions"])),
+        doc="measure",
     )
-    comps = tuple(
-        MeasureComponent(
-            _state_part_from_dict(c["state"]),
-            _dec_part(c.get("action")),
-            dec_number(c["weight"]),
-        )
-        for c in d["components"]
-    )
+    comps = _field(d, "components", _components_from_list, doc="measure")
     return HybridMeasure(domain, comps)
+
+
+def _components_from_list(cs) -> tuple:
+    return tuple(
+        MeasureComponent(_state_part_from_dict(c["state"]), _dec_part(c.get("action")), dec_number(c["weight"]))
+        for c in cs
+    )
 
 
 # -- models and strategies -------------------------------------------------
@@ -391,13 +391,13 @@ def _kernel_from_dict(d: dict) -> TransitionKernel:
 _REQUIRED = object()
 
 
-def _field(d: dict, name: str, decode=None, default=_REQUIRED):
-    """d[name], or `default` when the field is absent, through `decode`.  A
-    missing field, or a value of the wrong shape, raises FormatError naming
-    the field; the model's own errors (ModelError, MeasureError, ...) pass
-    through."""
+def _field(d: dict, name: str, decode=None, default=_REQUIRED, doc="model"):
+    """d[name] of a `doc` document, or `default` when the field is absent,
+    through `decode`.  A missing field, or a value of the wrong shape,
+    raises FormatError naming the field; the model's own errors
+    (ModelError, MeasureError, ...) pass through."""
     if name not in d and default is _REQUIRED:
-        raise FormatError(f"model document has no {name!r} field")
+        raise FormatError(f"{doc} document has no {name!r} field")
     value = d.get(name, default)
     if decode is None:
         return value
@@ -407,7 +407,7 @@ def _field(d: dict, name: str, decode=None, default=_REQUIRED):
         if isinstance(exc, ValueError) and type(exc) not in (ValueError, FormatError):
             raise
         detail = f"missing {exc}" if type(exc) is KeyError else str(exc)
-        raise FormatError(f"bad model field {name!r}: {detail}") from exc
+        raise FormatError(f"bad {doc} field {name!r}: {detail}") from exc
 
 
 def model_from_dict(d: dict) -> ModelDocument:

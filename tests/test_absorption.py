@@ -54,6 +54,28 @@ def test_undershoot_is_violated_with_witness(chain):
     assert res.state == "A"
 
 
+def test_overlapping_float_sides_are_undecided(chain):
+    # Tw(B) = 1 + max(0, w(A)/2) = 3.0005 +- 0.25 holds w(B) = 3.0, so B is
+    # no violation, though 3.0 < 3.0005; Tw(A) = 4.0 lies inside w(A)
+    w = ValueFunction(values={"A": Number.approx(4.001, 0.5), "B": Number.approx(3.0)})
+    res = verify_supersolution(chain, w, ("B",))
+    assert (res.kind, res.state) == ("undecided", "B")
+    res = verify_supersolution(chain, w, SUPPORT)
+    assert (res.kind, res.state) == ("undecided", "A")
+
+
+def test_a_certain_violation_wins_over_an_overlap(chain):
+    # Tw(B) = 3.0005 +- 0.25 is certainly above w(B) = 2
+    w = ValueFunction(values={"A": Number.approx(4.001, 0.5), "B": Number.exact(2)})
+    res = verify_supersolution(chain, w, SUPPORT)
+    assert (res.kind, res.state) == ("violated", "B")
+
+
+def test_certainly_ordered_float_sides_keep_their_verdict(chain):
+    w = ValueFunction(values={"A": Number.approx(8.0, 0.1), "B": Number.approx(6.0, 0.1)})
+    assert verify_supersolution(chain, w, SUPPORT).kind == "strict_supersolution"
+
+
 def test_bellman_apply_matches_hand_computation(chain):
     w = ValueFunction(values={"A": Number.exact(2), "B": Number.exact(2)})
     tw = bellman_apply(chain, w, SUPPORT)

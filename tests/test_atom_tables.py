@@ -2,7 +2,8 @@
 
 A state space keeps one point per atom (`StateSpace.point`, a
 `cached_property` dict), and a model keeps each atom's resolved kernel rule
-by name (`MdpModel._atom_rules`, filled by `occupation._atom_rows`).  The
+and checked rows by name (`MdpModel._atom_rules` and `_kept_rows`, filled
+by `occupation._rows_at`).  The
 countable solver builds its measure trusted: its states are kept points,
 every weight and each distinct action are still checked.  Exact atom
 measures are summed on integers: `total_mass` by `_exact_sum`, which drops
@@ -14,8 +15,9 @@ Against the paths they replace:
   declaration, and an unknown atom raises the same KeyError;
 * the trusted countable measure equals and hashes equal to the measure the
   checked constructor builds from the same components, which accepts it;
-* a rule lookup that raises keeps nothing and raises again;
-* the kept points and rules die with their space and model;
+* a rule lookup that raises keeps nothing and raises again, and a refused
+  rule keeps no rows;
+* the kept points, rules and rows die with their space and model;
 * exact totals and integrals equal plain `Fraction` sums, value and type;
   with a float weight, their bits are those of the plain in-order loop.
 """
@@ -46,6 +48,7 @@ from absorbing_mdp import (
     ModelError,
     Number,
     ONE,
+    SolverError,
     StateAtom,
     StatePoint,
     StateSpace,
@@ -60,6 +63,7 @@ from absorbing_mdp.measure import action_mass
 from absorbing_mdp.mdp import resolve_rule
 from absorbing_mdp.occupation import _atom_rows
 
+from conftest import refusal_case
 from test_countable_oracle import build, chains
 from test_integrate_oracle import reference_integrate
 
@@ -177,6 +181,7 @@ def test_a_kept_rule_is_the_resolved_rule():
         # a point without its coordinate reads the same kept rule
         assert _atom_rows(model, StatePoint(atom=name), [("a", ONE)]) == first
     assert model._atom_rules == {"s": "table", "r": model.kernel.rules[0]}
+    assert model._kept_rows == {"s": {"a": model.kernel.row("s", "a")}, "r": (model.kernel.rules[0].atom_probs,)}
 
 
 def test_a_raising_rule_lookup_keeps_nothing():
@@ -185,13 +190,21 @@ def test_a_raising_rule_lookup_keeps_nothing():
     for _ in range(2):
         with pytest.raises(ModelError, match="no kernel rule covers StatePoint\\('u'\\)"):
             _atom_rows(model, point, [("a", ONE)])
-        assert "u" not in model._atom_rules
+        assert "u" not in model._atom_rules and "u" not in model._kept_rows
+
+
+def test_a_refused_rule_is_kept_without_rows():
+    model, _ = refusal_case("density target", FiniteActions(("x", "y")))
+    for _ in range(2):
+        with pytest.raises(SolverError, match="atomic solver met a density target"):
+            _atom_rows(model, model.states.point("s1"), [("x", ONE)])
+    assert "s1" in model._atom_rules and "s1" not in model._kept_rows
 
 
 def test_kept_points_and_rules_die_with_their_model():
     model = rule_model()
     _atom_rows(model, model.states.point("s"), [("a", ONE)])
-    assert model._atom_rules and model.states._points
+    assert model._atom_rules and model._kept_rows and model.states._points
     refs = weakref.ref(model), weakref.ref(model.states), weakref.ref(model.states.point("s"))
     del model
     gc.collect()

@@ -14,7 +14,10 @@ same order, and raise the same `MissingValueError` for the same state.
 The one place they may differ is an atom whose rows' intervals overlap, so
 that the largest central value is not certainly the largest row: there the
 operator returns an enclosure of the max, and the test checks that it holds
-every row's interval, shifted by one.
+every row's interval, shifted by one.  The verdict of
+`verify_supersolution` is checked against `reference_verify`, which orders
+w and Tw by their intervals: overlapping floats are `undecided`, not
+ordered by their central values.
 """
 
 from fractions import Fraction
@@ -130,16 +133,25 @@ def reference_apply(model, w, support):
 
 
 def reference_verify(model, w, support, want):
-    first_violation = None
+    """The verdict on the intervals value +- err of w and of the reference
+    Tw: a certain violation first, then the first overlap that is not one
+    common point, then a certain strict inequality anywhere."""
+    first_violation = first_overlap = None
     strict = False
     for atom in support:
         lhs, rhs = w.value_at(atom), want[atom][0]
-        if lhs < rhs and first_violation is None:
-            first_violation = atom
-        elif lhs > rhs:
+        lo, hi = F(lhs.value) - F(lhs.err), F(lhs.value) + F(lhs.err)
+        rlo, rhi = F(rhs.value) - F(rhs.err), F(rhs.value) + F(rhs.err)
+        if hi < rlo:
+            first_violation = first_violation or atom
+        elif lo > rhi:
             strict = True
+        elif not lo == hi == rlo == rhi:
+            first_overlap = first_overlap or atom
     if first_violation is not None:
         return "violated", first_violation
+    if first_overlap is not None:
+        return "undecided", first_overlap
     return ("strict_supersolution" if strict else "fixed_point"), None
 
 

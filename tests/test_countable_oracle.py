@@ -115,9 +115,9 @@ def dense_solve(a, b):
     return [m[k][n] / m[k][k] for k in range(n)]
 
 
-def reference(states, frontier, rows, stages):
-    """(occupation by (state, action), frontier inflow), or None when the
-    reachable in-play states hold a class no mass leaves."""
+def reference(states, frontier, rows, stages, x0="s0"):
+    """(occupation by (state, action), frontier inflow) from x0, or None
+    when the reachable in-play states hold a class no mass leaves."""
 
     def step_probs(pol, s):
         out = {}
@@ -128,7 +128,7 @@ def reference(states, frontier, rows, stages):
 
     occ = {}
     inflow = F(0)
-    dist = {"s0": F(1)}
+    dist = {x0: F(1)}
     for pol in stages[:-1]:
         nxt = {}
         for s, m in dist.items():

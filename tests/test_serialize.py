@@ -154,12 +154,21 @@ def test_format_and_version_are_enforced():
             {"s": {"stages": [{"rules": [{"type": "selector", "segment": "s"}]}], "stationary_tail": True}},
             "bad model field 'strategies': missing 'breaks'",
         ),
-        # state parts stand only in measure documents, whose errors name no field
-        ("components", [{"state": {"type": "state-blob"}, "weight": "1/1"}], "unknown state part type 'state-blob'"),
+        # state parts stand only in measure documents
+        (
+            "components",
+            [{"state": {"type": "state-blob"}, "weight": "1/1"}],
+            "bad measure field 'components': unknown state part type 'state-blob'",
+        ),
+        ("components", [{"state": 1}], "bad measure field 'components'"),
+        ("components", [{"state": {"type": "state-atom", "atom": "s"}}], "bad measure field 'components': missing 'weight'"),
+        ("components", None, "measure document has no 'components' field"),
+        ("domain", None, "measure document has no 'domain' field"),
+        ("domain", {"states": {"atoms": []}}, "bad measure field 'domain': missing 'segments'"),
     ],
 )
 def test_a_document_of_the_wrong_shape_names_its_field(field, value, message):
-    if field == "components":
+    if field in ("components", "domain"):
         doc, decode = measure_to_dict(all_parts_measure()), measure_from_dict
     else:
         entry = example1()
