@@ -146,15 +146,11 @@ class MdpModel:
         return tuple(_diagnose(self))
 
     @cached_property
-    def _atom_rules(self) -> dict:
-        """Atom name -> its resolved rule, filled by `occupation._atom_rows`:
-        for an atom point, `FromRegion.matches` reads only the name."""
-        return {}
-
-    @cached_property
     def _kept_rows(self) -> dict:
         """Atom name -> its checked kernel rows, filled by
-        `occupation._rows_at` once the atom's rule is resolved."""
+        `occupation._rows_at` from the atom's resolved rule (for an atom
+        point, `FromRegion.matches` reads only the name).  A refused or
+        raising lookup keeps nothing, so it resolves again."""
         return {}
 
 

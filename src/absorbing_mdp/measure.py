@@ -30,7 +30,8 @@ component's share is one of three kinds:
 * anything else: the per-component route, `_component_integral`.
 
 While every share is exact, the shares and the cell moments are summed
-once at the end, by `_exact_sum`, the one place where exact shares meet.
+once at the end, by `numbers._exact_sum` (one unreduced sum, reduced
+once), the one place where exact shares meet.
 At the first inexact share the exact sum so far becomes one Number, and
 every later share is added to it as a Number, in order, so that float
 results keep the bits, and errors the order, of the plain loop over
@@ -60,8 +61,8 @@ not kept: a call that raised raises again on every call.
 The cell table is the one integer form of a measure's exact cells:
 `integrate`, `HybridMeasure.total_mass` and `topology.determinism_defect`
 all read it.  An exact atom term whose value is 0 is skipped, and
-`_exact_sum` drops zero numerators, so a zero never widens the common
-denominator.
+`_exact_sum` (in `numbers`) drops zero numerators, so a zero never widens
+the common denominator.
 
 A measure the user builds is checked component by component
 (`HybridMeasure.__post_init__`).  The cells `occupation_unroll` cuts from
@@ -79,7 +80,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .memo import remembered
-from .numbers import Number, ZERO, ONE, _add_product, _approx, _negative, nsum
+from .numbers import Number, ZERO, ONE, _add_product, _approx, _exact_sum, _negative, nsum
 from .quadrature import adaptive_quadrature, kronrod_quadrature, QuadratureError
 from .spaces import (
     ActionSpace,
@@ -794,34 +795,6 @@ def _checked_term(g: TestFunction, raw) -> tuple[int, int] | Number:
     if not inside:
         g._checked(raw)
     return n, d
-
-
-def _exact_sum(terms) -> Fraction:
-    """Σ n/d over the (n, d) pairs, d > 0.
-
-    Zero numerators are dropped, so their denominators never reach the
-    lcm.  Numerators over equal denominators are added first.  The
-    denominators are then taken in increasing order, the running sum kept
-    as an integer over the lcm of those seen so far; a denominator that
-    this lcm divides (each one, when they are nested powers of two, or
-    repeat) costs one `divmod` with a small quotient, and only any other
-    one a gcd.
-    """
-    by_d: dict[int, int] = {}
-    for n, d in terms:
-        if n:
-            by_d[d] = by_d.get(d, 0) + n
-    acc, q = 0, 1
-    for d in sorted(by_d):
-        k, r = divmod(d, q)
-        if r:
-            g = math.gcd(q, d)
-            acc = acc * (d // g) + by_d[d] * (q // g)
-            q = q // g * d
-        else:
-            acc = acc * k + by_d[d]
-            q = d
-    return Fraction(acc, q)
 
 
 def _is_exact(x) -> bool:

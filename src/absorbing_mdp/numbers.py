@@ -20,6 +20,11 @@ equal, hash-equal, same repr and pickle.  It relies on `Fraction` storing
 exactly the slots `_numerator` and `_denominator`, as it does in CPython
 3.10-3.13.
 
+A sum of many exact terms is kept unreduced instead, over the lcm of the
+denominators seen (`_add_unreduced`), and reduced once at the end
+(`_reduced`); `_exact_sum` is that fold, and the one place where an
+unreduced sum grows.
+
 `certainly_ge` and `certainly_le` compare an exact value with an int or
 Fraction bound by the same cross products.
 
@@ -386,6 +391,17 @@ def _reduced(n: int, d: int) -> Number:
     """The exact Number n/d, for d > 0, in lowest terms."""
     g = gcd(n, d)
     return _exact(_frac(n // g, d // g))
+
+
+def _exact_sum(terms) -> Fraction:
+    """Σ n/d over the (n, d) pairs, d > 0, as one unreduced sum
+    (`_add_unreduced`) reduced once at the end.  Zero numerators are
+    skipped, so their denominators never reach the lcm."""
+    n, d = 0, 1
+    for tn, td in terms:
+        if tn:
+            n, d = _add_unreduced(n, d, tn, td)
+    return _reduced(n, d).value
 
 
 def _prod(na: int, da: int, nb: int, db: int) -> Fraction:

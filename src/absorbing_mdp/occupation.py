@@ -36,13 +36,14 @@ Two solver paths:
   elimination on integers (`_bareiss_visits`, Bareiss 1968), not by
   Gauss-Jordan in Numbers.  Any float, met anywhere on the way, sends the
   whole tail to `_number_classes` on `Number` transition data, with the
-  bits it always had; there `_route` and the class loop take ONE * p as p
-  and ZERO + m as m when p or m is exact (`_times`, `_plus`).
+  bits it always had: each class, a single state too, is solved by
+  `_class_visits`, and `_route` and the class loop take ONE * p as p and
+  ZERO + m as m when p or m is exact (`_times`, `_plus`).
 
 Both paths, and the hitting-time operator in `absorption`, share one
 atom-routing core.  `_rows_at` keeps an atom's checked kernel rows on the
 model (`MdpModel._kept_rows`, by atom name: a region matches an atom point
-by its name alone), its rule resolved once (`MdpModel._atom_rules`); a
+by its name alone), and resolves its rule only while they are not kept; a
 lookup that raises keeps nothing.  It refuses a density target or a
 segment rule with a `SolverError`, which the unroll path avoids by
 handling those rules itself.  `_atom_rows` pairs the kept rows with the
@@ -177,18 +178,16 @@ def _is_zero(n: Number) -> bool:
 
 def _rows_at(model: MdpModel, point: StatePoint):
     """The kept kernel rows of the atom at `point` (`MdpModel._kept_rows`),
-    its rule resolved once: with table rows, a dict action -> row of the
-    declared finite actions that have one, in their order; with a
-    FixedDiffuse rule, the 1-tuple of its atom targets.  A density target
-    or a segment rule is refused, and a lookup that raises keeps nothing."""
+    its rule resolved only while they are not kept: with table rows, a dict
+    action -> row of the declared finite actions that have one, in their
+    order; with a FixedDiffuse rule, the 1-tuple of its atom targets.  A
+    density target or a segment rule is refused, and a lookup that raises
+    keeps nothing."""
     atom = point.atom
     rows = model._kept_rows.get(atom)
     if rows is not None:
         return rows
-    rules = model._atom_rules
-    rule = rules.get(atom)
-    if rule is None:
-        rule = rules[atom] = resolve_rule(model, StateAtom(point))
+    rule = resolve_rule(model, StateAtom(point))
     if rule == "table":
         names = model.actions.names if isinstance(model.actions, FiniteActions) else ()
         rows = {a: r for a in names if (r := model.kernel.row(atom, a)) is not None}
@@ -554,8 +553,9 @@ def _certainly_nonzero(n: Number) -> bool:
 def _class_visits(members, trans, stay, enter) -> dict[str, Number]:
     """Expected visits v on a strongly connected class C entered with mass
     `enter`: v = enter_C + v Q_C, i.e. (I - Q_C)^T v = enter_C, solved by
-    Gauss-Jordan elimination in Number arithmetic.  I - Q_C is singular
-    exactly when no mass can leave C; that class is refused."""
+    Gauss-Jordan elimination in Number arithmetic (for a single state, its
+    inflow over its escape).  I - Q_C is singular exactly when no mass can
+    leave C; that class is refused."""
     n = len(members)
     col = {x: i for i, x in enumerate(members)}
     # sparse rows of (I - Q_C)^T; column n holds the right-hand side
@@ -587,6 +587,8 @@ def _class_visits(members, trans, stay, enter) -> dict[str, Number]:
 
 
 def _closed_class_error(members) -> CountableSolverError:
+    if len(members) == 1:
+        return CountableSolverError(f"state {members[0]!r} never leaves itself, or float error hides its escape")
     return CountableSolverError(
         f"no mass can leave the class of {members[0]!r} ({len(members)} states), so its "
         "occupation is not finite, or float error hides the escape"
@@ -699,29 +701,15 @@ def _countable(model, strategy, x0, trunc, continue_bound) -> OccupationResult:
     return _countable_result(model, occ, tail)
 
 
-def _escape_error(x: str) -> CountableSolverError:
-    return CountableSolverError(f"state {x!r} never leaves itself, or float error hides its escape")
-
-
 def _number_classes(order, trans, stay, acts, frontier_p, dist, occ, frontier: Number) -> Number:
     """The classes of `order` solved in Number arithmetic: their visits
     added to `occ` by (state, action) and their outflow to the inflow of
     the classes after them.  Returns the frontier total."""
     enter = {n: dist.get(n, ZERO) for n in trans}
     for members in order:
-        if len(members) == 1:
-            x = members[0]
-            inflow = enter[x]
-            if _is_zero(inflow):
-                continue
-            escape = ONE - stay[x]
-            if not _certainly_nonzero(escape):
-                raise _escape_error(x)
-            visits = {x: inflow / escape}
-        else:
-            if all(_is_zero(enter[x]) for x in members):
-                continue
-            visits = _class_visits(members, trans, stay, enter)
+        if all(_is_zero(enter[x]) for x in members):
+            continue
+        visits = _class_visits(members, trans, stay, enter)
         for x, v in visits.items():
             for a, wa in acts[x]:
                 key = (x, a)
@@ -754,7 +742,7 @@ def _exact_classes(order, trans, stay, acts, frontier_p, dist, occ, frontier: Nu
             s = stay[x]
             en, ed = s._denominator - s._numerator, s._denominator
             if not en:
-                raise _escape_error(x)
+                raise _closed_class_error(members)
             if en < 0:
                 en, ed = -en, -ed
             visits = {x: _prod(n // g, d // g, ed, en) if s._numerator else _frac(n // g, d // g)}

@@ -1,9 +1,9 @@
 """Atom chains without re-resolving or re-boxing, against the checked paths.
 
 A state space keeps one point per atom (`StateSpace.point`, a
-`cached_property` dict), and a model keeps each atom's resolved kernel rule
-and checked rows by name (`MdpModel._atom_rules` and `_kept_rows`, filled
-by `occupation._rows_at`).  The
+`cached_property` dict), and a model keeps each atom's checked kernel rows
+by name (`MdpModel._kept_rows`, filled by `occupation._rows_at`, which
+resolves the atom's rule only when its rows are not kept).  The
 countable solver builds its measure trusted: its states are kept points,
 every weight and each distinct action are still checked.  Exact atom
 measures are summed on integers: `total_mass` by `_exact_sum`, which drops
@@ -15,9 +15,11 @@ Against the paths they replace:
   declaration, and an unknown atom raises the same KeyError;
 * the trusted countable measure equals and hashes equal to the measure the
   checked constructor builds from the same components, which accepts it;
+* kept rows are those of the resolved rule, and a kept atom's later
+  lookups resolve nothing;
 * a rule lookup that raises keeps nothing and raises again, and a refused
-  rule keeps no rows;
-* the kept points, rules and rows die with their space and model;
+  rule keeps no rows and is refused again;
+* the kept points and rows die with their space and model;
 * exact totals and integrals equal plain `Fraction` sums, value and type;
   with a float weight, their bits are those of the plain in-order loop.
 """
@@ -58,7 +60,7 @@ from absorbing_mdp import (
     deterministic_stationary,
     occupation_countable,
 )
-from absorbing_mdp import measure
+from absorbing_mdp import measure, occupation
 from absorbing_mdp.measure import action_mass
 from absorbing_mdp.mdp import resolve_rule
 from absorbing_mdp.occupation import _atom_rows
@@ -161,7 +163,7 @@ def test_an_undeclared_action_is_still_refused():
         occupation_countable(model, deterministic_stationary(default="a"), model.states.point("s"))
 
 
-# -- kept rules ---------------------------------------------------------------
+# -- kept rows ----------------------------------------------------------------
 
 
 def rule_model() -> MdpModel:
@@ -172,15 +174,22 @@ def rule_model() -> MdpModel:
     return MdpModel(name="rules", states=space, actions=FiniteActions(("a",)), kernel=TransitionKernel(rows, (rule,)))
 
 
-def test_a_kept_rule_is_the_resolved_rule():
+def test_kept_rows_are_the_resolved_rules_rows(monkeypatch):
     model = rule_model()
+    assert [resolve_rule(model, StateAtom(model.states.point(x))) for x in ("s", "r")] == ["table", model.kernel.rules[0]]
+    resolved = []
+
+    def counted(m, part):
+        resolved.append(part)
+        return resolve_rule(m, part)
+
+    monkeypatch.setattr(occupation, "resolve_rule", counted)
     for name in ("s", "r"):
         point = model.states.point(name)
         first = _atom_rows(model, point, [("a", ONE)])
-        assert model._atom_rules[name] == resolve_rule(model, StateAtom(point))
-        # a point without its coordinate reads the same kept rule
+        # a point without its coordinate reads the same kept rows
         assert _atom_rows(model, StatePoint(atom=name), [("a", ONE)]) == first
-    assert model._atom_rules == {"s": "table", "r": model.kernel.rules[0]}
+    assert resolved == [StateAtom(model.states.point("s")), StateAtom(model.states.point("r"))]
     assert model._kept_rows == {"s": {"a": model.kernel.row("s", "a")}, "r": (model.kernel.rules[0].atom_probs,)}
 
 
@@ -190,21 +199,21 @@ def test_a_raising_rule_lookup_keeps_nothing():
     for _ in range(2):
         with pytest.raises(ModelError, match="no kernel rule covers StatePoint\\('u'\\)"):
             _atom_rows(model, point, [("a", ONE)])
-        assert "u" not in model._atom_rules and "u" not in model._kept_rows
+        assert "u" not in model._kept_rows
 
 
-def test_a_refused_rule_is_kept_without_rows():
+def test_a_refused_rule_keeps_no_rows():
     model, _ = refusal_case("density target", FiniteActions(("x", "y")))
     for _ in range(2):
         with pytest.raises(SolverError, match="atomic solver met a density target"):
             _atom_rows(model, model.states.point("s1"), [("x", ONE)])
-    assert "s1" in model._atom_rules and "s1" not in model._kept_rows
+        assert "s1" not in model._kept_rows
 
 
-def test_kept_points_and_rules_die_with_their_model():
+def test_kept_points_and_rows_die_with_their_model():
     model = rule_model()
     _atom_rows(model, model.states.point("s"), [("a", ONE)])
-    assert model._atom_rules and model._kept_rows and model.states._points
+    assert model._kept_rows and model.states._points
     refs = weakref.ref(model), weakref.ref(model.states), weakref.ref(model.states.point("s"))
     del model
     gc.collect()

@@ -164,6 +164,20 @@ def test_uncertain_escape_is_refused():
                              model.states.point("A"))
 
 
+@pytest.mark.parametrize("stay", [ONE, Number.approx(1.0)], ids=["exact", "float"])
+def test_a_state_that_stays_for_sure_is_refused(stay):
+    # S sends its mass to A, which keeps all of it: on integers, or on the
+    # Number class loop once a float is met
+    space = StateSpace(atoms=(AtomDecl("S"), AtomDecl("A"), AtomDecl("Delta")))
+    rows = ((("S", "x"), (("A", ONE),)), (("A", "x"), (("A", stay),)),
+            (("Delta", "x"), (("Delta", ONE),)))
+    model = MdpModel(name="trap", states=space, actions=FiniteActions(("x",)),
+                     kernel=TransitionKernel(rows=rows))
+    with pytest.raises(CountableSolverError, match="^state 'A' never leaves itself"):
+        occupation_countable(model, deterministic_stationary(default="x"),
+                             model.states.point("S"))
+
+
 def test_deep_ladder_needs_no_recursion():
     model = ladder_model(2048)
     occ = occupation_countable(model, deterministic_stationary(default="step"),
