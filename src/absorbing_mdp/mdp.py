@@ -20,6 +20,7 @@ including piecewise-constant selectors on segments.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -416,6 +417,16 @@ class SegmentSelector:
         one = {a: ActionAtom(a) for a in self.actions}
         return tuple(one[a] for a in self.actions)
 
+    @cached_property
+    def _grid(self) -> tuple:
+        """(d, ends, exact): the breaks on one integer grid, break n/m at
+        n·(d/m), d the lcm of the m, a float taken as the binary rational it
+        holds and an infinite end as None; exact when no break is a float."""
+        xs = self.breaks
+        ratios = [x.as_integer_ratio() if type(x) is not float or math.isfinite(x) else (None, 1) for x in xs]
+        d = math.lcm(*{m for _, m in ratios})
+        return d, [n if n is None else n * (d // m) for n, m in ratios], not any(isinstance(x, float) for x in xs)
+
     def action_at(self, coord):
         i = bisect.bisect_right(self.breaks, coord) - 1
         i = min(max(i, 0), len(self.actions) - 1)
@@ -440,40 +451,57 @@ class StageKernel:
     def split_density(self, density: StateDensity):
         """Cut a state density into cells on which the stage's action
         distribution is constant; returns (breaks, heights, dist) triples."""
+        return self._cut(density)[1]
+
+    def _cut(self, density: StateDensity):
+        """(d, cells, cuts): the cells of `split_density` and, for a
+        selector's cut, their ends on one integer grid (`_selector_split`)."""
         for rule in self.rules:
             if isinstance(rule, SegmentSelector) and rule.segment == density.segment:
                 return _selector_split(rule, density)
             if isinstance(rule, StrategyRule) and rule.matches(
                 StatePoint(segment=density.segment, coord=density.breaks[0])
             ):
-                return [(density.breaks, density.heights, rule.dist)]
+                return None, [(density.breaks, density.heights, rule.dist)], None
         raise ModelError(f"stage kernel is silent on segment {density.segment!r}")
 
 
 def _selector_split(sel: SegmentSelector, density: StateDensity):
-    """The cells of `density` cut at every selector break strictly inside
-    it, each with the height of its own piece and the action of its own
-    selector cell, clamped at the ends as `action_at` clamps.  One pass
-    over both break lists, merged by comparison: a cell is never located
-    by a computed point, so a float cell one ulp wide keeps its own piece."""
-    ys, atoms, top = sel.breaks, sel._cell_atoms, len(sel.actions) - 1
-    lo = density.breaks[0]
-    k = bisect.bisect_right(ys, lo)  # the selector breaks at or below lo
+    """(d, cells, cuts): the cells of `density` cut at every selector break
+    strictly inside it, each with the height of its own piece and the shared
+    atom of its own selector cell, clamped at the ends as `action_at`
+    clamps, cell j spanning [cuts[j]/d, cuts[j + 1]/d].  The density's
+    breaks join the selector's grid (`_grid`) and both are merged in one
+    pass by integer comparison: a cell is never located by a computed
+    point, so a float cell one ulp wide keeps its own piece.  d is None
+    when a break is a float."""
+    d, ys, exact = sel._grid
+    ratios = [x.as_integer_ratio() for x in density.breaks]
+    D = math.lcm(d, *{m for _, m in ratios})
+    xs = [n * (D // m) for n, m in ratios]
+    if D != d or ys[0] is None or ys[-1] is None:  # an infinite end lies past the density
+        ys = [y * (D // d) if y is not None else xs[0] - 1 if j == 0 else xs[-1] + 1 for j, y in enumerate(ys)]
+    breaks, atoms, top = sel.breaks, sel._cell_atoms, len(sel.actions) - 1
+    lo, a = density.breaks[0], xs[0]
+    k = bisect.bisect_right(ys, a)  # the selector breaks at or below lo
 
     def atom(k):  # the action of the selector cell that ends at ys[k]
         return atoms[min(max(k - 1, 0), top)]
 
-    cells = []
-    for hi, h in zip(density.breaks[1:], density.heights):
-        while k < len(ys) and ys[k] < hi:
-            cells.append(((lo, ys[k]), (h,), atom(k)))
-            lo = ys[k]
+    cells, cuts = [], [a]
+    for hi, b, h in zip(density.breaks[1:], xs[1:], density.heights):
+        while k < len(ys) and ys[k] < b:
+            cells.append(((lo, breaks[k]), (h,), atom(k)))
+            cuts.append(ys[k])
+            lo = breaks[k]
             k += 1
         cells.append(((lo, hi), (h,), atom(k)))
+        cuts.append(b)
         lo = hi
-        if k < len(ys) and ys[k] == hi:
+        if k < len(ys) and ys[k] == b:
             k += 1
-    return cells
+    exact = exact and not any(isinstance(x, float) for x in density.breaks)
+    return (D if exact else None), cells, cuts
 
 
 @dataclass(frozen=True)
@@ -528,6 +556,9 @@ def validate_strategy(model: MdpModel, strategy: Strategy) -> list[str]:
             if isinstance(rule, SegmentSelector):
                 for a in rule.actions:
                     _action_value_diags(model, a, where, diags)
+                continue
+            if not isinstance(rule.dist, (ActionAtom, ActionDensity, ActionMixture)):
+                diags.append(f"{where}: no action distribution, got {rule.dist!r}")
                 continue
             _unit_diag(rule.dist.mass(), where, "action mass", diags)
             _action_part_diags(model, rule.dist, where, diags)

@@ -45,10 +45,13 @@ divided by the weight, so that the err stays within tol.
 
 The grouping depends on the measure alone: which components are exact
 state densities, and their cells by group as integers over per-group
-denominators, are tabled once per measure (`_CellTable`).  Each
-pass then runs the function's checks on each tabled component as it
-reaches it, and adds the moments of the cells of the components it took
-to the exact sum (`_CellPass`).
+denominators, are tabled once per measure (`_CellTable`), or handed over
+by `occupation_unroll`, which cut them.  Each pass then runs the
+function's checks on each tabled component as it reaches it, and adds the
+moments of the cells of the components it took to the exact sum
+(`_CellPass`).  Once the checks of every (segment, actions) of a run of
+consecutive tabled components have passed without a range check, the rest
+of the run is taken in one step.
 
 `integrate` keeps each result under (function, tolerance) for as long as
 the measure lives (`memo.remembered`, owned by the measure): a second call
@@ -77,6 +80,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .memo import remembered
@@ -745,8 +749,11 @@ def _integral(mu: HybridMeasure, g: TestFunction, tol: float) -> Number:
     cells = _CellPass(mu, g) if g.structured else None
     terms = []  # (numerator, denominator) of each exact share
     rest = None  # the components past the first inexact share
-    for i, c in enumerate(comps):
+    i = 0
+    while i < len(comps):
+        c = comps[i]
         s, a = c.state, c.action
+        i += 1
         if type(s) is StateAtom and (type(a) is ActionAtom or a is None and not joint):
             w = c.weight.value
             t = _checked_term(g, ev(s.point, a.action) if joint else ev(s.point))
@@ -757,14 +764,15 @@ def _integral(mu: HybridMeasure, g: TestFunction, tol: float) -> Number:
             v = Number(Fraction(*t)) if type(t) is tuple else t
             # c's share as _component_integral computes it from v
             r = c.weight * (ZERO + ONE * v) if joint else c.weight * v * ONE
-        elif type(s) is StateDensity and cells is not None and cells.take(i):
+        elif type(s) is StateDensity and cells is not None and (taken := cells.take(i - 1)):
+            i = taken
             continue
         else:
             r = _component_integral(c, g, share)
         if r.is_exact:
             terms.append((r.value.numerator, r.value.denominator))
             continue
-        rest = comps[i + 1 :]
+        rest = comps[i:]
         break
     if cells is not None:
         cells.shares(terms)
@@ -818,7 +826,8 @@ class _CellTable:
     none, the cells carry the part's mass and group under action None.  A
     joint g reads the atom groups, a state-only g every group of the
     segment.  `HybridMeasure.total_mass` and `topology.determinism_defect`
-    read the same table.
+    read the same table.  `occupation_unroll` hands the measures it builds
+    this table, built from its cuts (groups equal as rationals).
 
     `rows[i]` is ((segment, actions), lo, hi) for such a component i, lo
     and hi the ends of its density, actions None for a component under
@@ -852,6 +861,17 @@ class _CellTable:
                     cells.append((i, lo, hi, weight, h.value))
         self.groups = {key: _as_ints(cells) for key, cells in found.items()}
 
+    @cached_property
+    def runs(self) -> dict:
+        """i -> [end, keys] for the run of consecutive tabled components
+        i..end-1 that holds i, keys their (segment, actions)."""
+        runs: dict = {}
+        for i, (key, _, _) in self.rows.items():
+            run = runs[i] = runs.get(i - 1) or [0, set()]
+            run[0] = i + 1
+            run[1].add(key)
+        return runs
+
 
 def _cell_table(mu: HybridMeasure) -> _CellTable:
     """mu's cell table, built once while mu lives."""
@@ -871,14 +891,16 @@ def _as_ints(cells):
 
 
 class _CellPass:
-    """The function side of the grouped pass: `take(i)` tells whether the
-    tabled component i goes to the grouped sum, after the coverage and range
-    checks of `_component_integral`, run in its order and raising its
-    errors; `shares(terms)` integrates the cells of the components taken,
-    each group against each term's polynomial at once (`_cells_integral`),
-    times the term's action factor, and appends each moment to the
-    (numerator, denominator) pairs that `_exact_sum` adds up with the
-    other exact shares."""
+    """The function side of the grouped pass: `take(i)` returns the index
+    past the tabled components from i on that go to the grouped sum, or 0
+    when i does not: the rest of i's run (`_CellTable.runs`) when the
+    checks of its every key are settled and passed, else i alone after the
+    coverage and range checks of `_component_integral`, run in its order
+    and raising its errors; `shares(terms)` integrates the cells of the
+    components taken, each group against each term's polynomial at once
+    (`_cells_integral`), times the term's action factor, and appends each
+    moment to the (numerator, denominator) pairs that `_exact_sum` adds up
+    with the other exact shares."""
 
     def __init__(self, mu: HybridMeasure, g: TestFunction):
         self.mu = mu
@@ -890,19 +912,24 @@ class _CellPass:
         self.known: dict = {}  # (segment, actions) -> outcome of checks no range check took part in
         self.taken: list = []
 
-    def take(self, i: int) -> bool:
+    def take(self, i: int) -> int:
         if self.table is None:
             self.table = _cell_table(self.mu)
         row = self.table.rows.get(i)
         if row is None or self.joint and row[0][1] is None:
-            return False
+            return 0
+        end, keys = self.table.runs[i]
+        if all(map(self.known.get, keys)):  # every check in the run settled and passed
+            self.taken.extend(range(i, end))
+            return end
         key, lo, hi = row
         ok = self.known.get(key)
         if ok is None:
             ok = self._check(key, lo, hi)
         if ok:
             self.taken.append(i)
-        return ok
+            return i + 1
+        return 0
 
     def _check(self, key, lo, hi) -> bool:
         """Whether g's polynomials and action factors on the component are

@@ -11,8 +11,9 @@ refer to.  A call that raises stores nothing, so it raises again on every
 call.
 
 `integrate` keeps an integral under its measure (refs: the function) and
-a cell table under its measure (refs: none); the countable solver keeps an
-occupation under its strategy (refs: the model).
+a cell table under its measure (refs: none); `occupation_unroll` seeds
+that cell table for the measure it builds, from the cells it cut; the
+countable solver keeps an occupation under its strategy (refs: the model).
 """
 
 from __future__ import annotations

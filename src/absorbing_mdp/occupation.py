@@ -4,7 +4,12 @@ Two solver paths:
 
 * `occupation_unroll` steps the exact forward distribution through finitely
   many stages and requires sure absorption within the horizon; it is the
-  only path that handles segment densities.
+  only path that handles segment densities.  A selector cuts a density on
+  one integer grid (`mdp._selector_split`).  When every density component
+  of the measure comes from one exact cut, the unroll builds the measure's
+  cell table from the cut's integer ends and keeps it as `integrate`
+  would (`memo.remembered`), so that neither `integrate`, `total_mass` nor
+  `determinism_defect` rebuilds it from the finished measure.
 
 * `occupation_countable` handles purely atomic dynamics.  It runs the
   non-stationary prefix exactly, then solves the stationary tail exactly:
@@ -82,6 +87,8 @@ from .measure import (
     MeasureComponent,
     StateAtom,
     StateDensity,
+    _CellTable,
+    _TABLES,
     _trusted,
     _validate_action,
     _validate_state,
@@ -245,9 +252,12 @@ def _route(model: MdpModel, row, weight: Number | None, into: dict, frontier: Nu
     return frontier
 
 
-def _step(model: MdpModel, parts, stage, frontier: Number):
+def _step(model: MdpModel, parts, stage, frontier: Number, ends: dict | None = None):
     """One forward stage: returns (joint occupation components, next parts,
-    frontier mass so far).
+    frontier mass so far).  Into `ends`, when given, goes each cell of an
+    exact selector cut with exact heights and weight, by the id of its
+    state: (d, q, p, a, b), the cell [a/d, b/d] carrying weight times
+    height p/q, with d and q common to the cut.
 
     The cells a density is cut into are built trusted: the cut keeps them
     inside the density, with its heights, and the density's support is
@@ -264,10 +274,17 @@ def _step(model: MdpModel, parts, stage, frontier: Number):
         if isinstance(spart, StateAtom):
             cells = [(spart, stage.dist_at(spart.point), w)]
         else:
+            d, split, cuts = stage._cut(spart)
             cells = [
                 (_trusted(StateDensity, segment=spart.segment, breaks=tuple(b), heights=tuple(h)), dist, w)
-                for b, h, dist in stage.split_density(spart)
+                for b, h, dist in split
             ]
+            if ends is not None and d and all(type(x.value) is Fraction for x in (w, *spart.heights)):
+                vs = [(id(h), w.value * h.value) for h in spart.heights]
+                q = lcm(*(v.denominator for _, v in vs))
+                ps = {key: v.numerator * (q // v.denominator) for key, v in vs}
+                for (cell, _, _), a, b in zip(cells, cuts, cuts[1:]):
+                    ends[id(cell)] = (d, q, ps[id(cell.heights[0])], a, b)
         if cells:
             joint += cells
             blocks.append((spart, w, cells))
@@ -323,21 +340,29 @@ def _one_mass(spart, w: Number, cells, rule: FixedDiffuse, nxt: dict, frontier: 
     )
 
 
-def _merge_joint(domain: Domain, components, once: set) -> HybridMeasure:
+def _merge_joint(domain: Domain, components, once: set, ends: dict) -> HybridMeasure:
     """Components with equal (state part, action part) summed, in
     first-seen order.  The cells of one density are disjoint, so a cell on
     a segment of `once`, where one density was cut, equals no other
     component; every other key is hashed, once.  Each component is checked
     as `HybridMeasure` checks it, except the state of a density cell, which
     `_step` checked, and a weight or action part already checked: the
-    cells of one density share both objects."""
+    cells of one density share both objects.  When every density component
+    is such a cell, with its integer ends in `ends` (see `_step`), the cell
+    table of the measure is built from them, as `_CellTable` would build it."""
     index: dict = {}
     merged: list = []
+    rows, groups, seed = {}, {}, True
     for c in components:
         s, a, w = c
         if type(s) is StateDensity and s.segment in once:
+            if seed := seed and id(s) in ends:
+                d, q, p, x, y = ends[id(s)]
+                rows[len(merged)] = ((s.segment, (a.action,)), *s.breaks)
+                groups.setdefault((s.segment, a.action), (d, q, []))[2].append((len(merged), p, x, y))
             merged.append(c)
             continue
+        seed = seed and type(s) is not StateDensity
         i = index.setdefault((s, a), len(merged))
         if i == len(merged):
             merged.append([s, a, w])
@@ -354,7 +379,10 @@ def _merge_joint(domain: Domain, components, once: set) -> HybridMeasure:
             _validate_action(domain.actions, a)
             checked.add(id(a))
     comps = tuple(MeasureComponent(s, a, w) for s, a, w in merged)
-    return _trusted(HybridMeasure, domain=domain, components=comps)
+    mu = _trusted(HybridMeasure, domain=domain, components=comps)
+    if seed and rows:
+        remembered(_TABLES, mu, (), (), lambda: _trusted(_CellTable, rows=rows, groups=groups))
+    return mu
 
 
 def occupation_unroll(
@@ -365,9 +393,10 @@ def occupation_unroll(
     frontier = ZERO
     collected = []
     cut = Counter()  # segment -> densities cut on it
+    ends: dict = {}  # id of a cell of an exact cut -> its integer ends
     for t in range(horizon):
         cut.update(s.segment for s, w in parts if type(s) is StateDensity and not _is_zero(w))
-        joint, parts, frontier = _step(model, parts, strategy.stage(t), frontier)
+        joint, parts, frontier = _step(model, parts, strategy.stage(t), frontier, ends)
         collected.extend(joint)
         if not _is_zero(frontier):
             raise CountableSolverError(
@@ -382,7 +411,7 @@ def occupation_unroll(
         raise UnrollResidualError(residual, horizon)
     domain = Domain(model.states, model.actions)
     once = {label for label, n in cut.items() if n == 1}
-    return OccupationResult(_merge_joint(domain, collected, once), ZERO, "unroll")
+    return OccupationResult(_merge_joint(domain, collected, once, ends), ZERO, "unroll")
 
 
 def _atomic_step(model: MdpModel, stage, dist, occ, frontier: Number):

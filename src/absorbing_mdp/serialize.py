@@ -178,12 +178,16 @@ def _region_to_dict(r: FromRegion) -> dict:
     return {"segment": r.segment}
 
 
+def _name(v, what: str) -> str:
+    """v, refused unless a string, before it reaches a set or a sort."""
+    if type(v) is not str:
+        raise TypeError(f"{what} {v!r} is not a string")
+    return v
+
+
 def _region_from_dict(d: dict) -> FromRegion:
     if "atoms" in d:
-        for a in d["atoms"]:
-            if type(a) is not str:
-                raise TypeError(f"region atom {a!r} is not a string")
-        return FromRegion(atoms=tuple(d["atoms"]))
+        return FromRegion(atoms=tuple([_name(a, "region atom") for a in d["atoms"]]))
     return FromRegion(segment=d["segment"])
 
 
@@ -257,7 +261,7 @@ def space_to_dict(space: StateSpace) -> dict:
 def space_from_dict(d: dict) -> StateSpace:
     return StateSpace(
         atoms=tuple(
-            AtomDecl(a["name"], a["topology"], _dec_opt_pos(a.get("coord")))
+            AtomDecl(_name(a["name"], "atom name"), a["topology"], _dec_opt_pos(a.get("coord")))
             for a in d["atoms"]
         ),
         segments=tuple(
@@ -381,7 +385,7 @@ def model_to_dict(model: MdpModel, strategies: dict | None = None) -> dict:
 def _kernel_from_dict(d: dict) -> TransitionKernel:
     return TransitionKernel(
         rows=tuple(
-            ((src, act), tuple((name, dec_number(p)) for name, p in row))
+            ((_name(src, "row source"), act), tuple((_name(name, "row target"), dec_number(p)) for name, p in row))
             for (src, act), row in d["rows"]
         ),
         rules=tuple(_decode(_KERNEL_RULES, r) for r in d["rules"]),

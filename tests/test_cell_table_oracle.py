@@ -15,8 +15,17 @@ are all tabled on one integer grid.  Against their counterparts:
 * `determinism_defect` equals the containment scan of
   `test_defect_oracle`: the same exact value, or the same float bits where
   float and exact segments mix.
+
+The unroll cuts a density on the selector's integer grid and, when every
+density component of its measure comes from one exact cut, keeps the cell
+table of those cuts as the measure's own.  Against a split that compares
+the break objects themselves, and a table built from the finished measure
+(`_CellTable`), that table has the same rows and the same cells as
+rationals, and `integrate`, `total_mass` and `determinism_defect` read from
+it equal their plain loops.
 """
 
+import bisect
 import math
 import struct
 from fractions import Fraction
@@ -26,7 +35,9 @@ from hypothesis import given, settings, strategies as st
 
 from absorbing_mdp import (
     ActionAtom,
+    ActionFactor,
     ActionMixture,
+    CONTINUOUS,
     AtomDecl,
     Domain,
     FiniteActions,
@@ -37,23 +48,30 @@ from absorbing_mdp import (
     MeasureComponent,
     Number,
     ONE,
+    PiecewisePoly,
     SegmentDecl,
     SegmentSelector,
     StageKernel,
     StateAtom,
     StateDensity,
+    StateFactor,
     StateSpace,
     StrategyRule,
     TransitionKernel,
     ZERO,
     determinism_defect,
+    integrate,
     markov_sequence,
+    measure,
     occupation_unroll,
+    structured_joint_function,
+    structured_state_function,
 )
 from absorbing_mdp.mdp import resolve_rule
 from absorbing_mdp.numbers import nsum
 
 from test_defect_oracle import DOMAIN, assert_same, containment_scan_defect
+from test_integrate_oracle import outcome, reference_integrate
 
 F = Fraction
 ACTIONS = ("a", "b", "c")
@@ -378,3 +396,157 @@ def test_cells_that_cannot_go_as_one_mass_go_cell_by_cell(case):
     x0 = SPACE.point("start")
     mu = occupation_unroll(model, strategy, x0, 4).measure
     same_measure(mu, reference_unroll(model, strategy, x0, 4))
+
+
+# -- the table of the cut ----------------------------------------------------
+
+
+def split_by_comparison(sel: SegmentSelector, density: StateDensity):
+    """The selector split as it was written before the integer grid: one
+    pass over both break lists, merged by comparing the break objects."""
+    ys, top = sel.breaks, len(sel.actions) - 1
+    lo = density.breaks[0]
+    k = bisect.bisect_right(ys, lo)
+    cells = []
+    for hi, h in zip(density.breaks[1:], density.heights):
+        while k < len(ys) and ys[k] < hi:
+            cells.append(((lo, ys[k]), (h,), ActionAtom(sel.actions[min(max(k - 1, 0), top)])))
+            lo = ys[k]
+            k += 1
+        cells.append(((lo, hi), (h,), ActionAtom(sel.actions[min(max(k - 1, 0), top)])))
+        lo = hi
+        if k < len(ys) and ys[k] == hi:
+            k += 1
+    return cells
+
+
+@st.composite
+def cut_densities(draw, label: str, exact: bool):
+    """1 to 3 pieces on part of [0, 1], exact or float; among the floats,
+    sometimes a piece one ulp wide."""
+    if exact:
+        xs = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=16),
+                           min_size=2, max_size=4, unique=True))
+    else:
+        xs = draw(st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=3, unique=True))
+        if draw(st.booleans()) and min(xs) < 1:
+            xs.append(math.nextafter(min(xs), math.inf))
+    breaks = tuple(sorted(set(xs)))
+    return StateDensity(label, breaks, tuple(draw(numbers(exact)) for _ in breaks[1:]))
+
+
+@st.composite
+def cut_selectors(draw, density: StateDensity, exact: bool):
+    """A selector on the density's segment whose breaks are drawn from the
+    density's own breaks (when they are of its kind), from [-1, 2] and, for
+    float selectors, from inside the density and from one ulp beside a
+    density break, with the ends sometimes infinite."""
+    own = [x for x in density.breaks if isinstance(x, float) != exact]
+    if exact:
+        fresh = st.fractions(min_value=-1, max_value=2, max_denominator=16)
+        pool = st.one_of(st.sampled_from(own), fresh) if own else fresh
+    else:
+        beside = st.builds(math.nextafter, st.sampled_from([float(x) for x in density.breaks]),
+                           st.sampled_from([-math.inf, math.inf]))
+        inside = st.floats(min_value=float(density.breaks[0]), max_value=float(density.breaks[-1]))
+        pool = st.one_of(st.floats(min_value=-1, max_value=2), inside, beside, *([st.sampled_from(own)] if own else []))
+    cuts = tuple(sorted(draw(st.lists(pool, min_size=2, max_size=6, unique=True))))
+    if not exact and draw(st.booleans()):  # an infinite end, or two
+        lo, hi = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+        cuts = ((-math.inf,) if lo else cuts[:1]) + cuts[1:-1] + ((math.inf,) if hi else cuts[-1:])
+    return SegmentSelector(density.segment, cuts, tuple(draw(st.sampled_from(ACTIONS)) for _ in cuts[1:]))
+
+
+@st.composite
+def cut_models(draw):
+    """start jumps onto the density on t and to mid with probability p, mid
+    onto the density on s; both are cut by selectors, and s, when `twice`,
+    is jumped onto by start too, so that it is cut at stages 1 and 2.
+    Returns (model, strategy, the densities and selectors, whether every
+    density component comes from one exact cut)."""
+    exact = draw(st.booleans())  # everything exact, or each part on its own
+    ex = {name: exact or draw(st.booleans()) for name in ("s", "t", "sel s", "sel t", "p")}
+    on_s, on_t = draw(cut_densities("s", ex["s"])), draw(cut_densities("t", ex["t"]))
+    sel_s, sel_t = draw(cut_selectors(on_s, ex["sel s"])), draw(cut_selectors(on_t, ex["sel t"]))
+    p = draw(numbers(ex["p"]).filter(lambda n: n.value != 0))
+    twice = draw(st.booleans())
+    s_piece = ("s", on_s.breaks, on_s.heights)
+    rules = (
+        FixedDiffuse(FromRegion(atoms=("start",)), atom_probs=(("mid", p),),
+                     pieces=(("t", on_t.breaks, on_t.heights),) + ((s_piece,) if twice else ())),
+        FixedDiffuse(FromRegion(atoms=("mid",)), pieces=(s_piece,)),
+        FixedDiffuse(FromRegion(segment="s"), atom_probs=(("Delta", ONE),)),
+        FixedDiffuse(FromRegion(segment="t"), atom_probs=(("Delta", ONE),)),
+        FixedDiffuse(FromRegion(atoms=("Delta",)), atom_probs=(("Delta", ONE),)),
+    )
+    model = MdpModel("cuts", SPACE, FiniteActions(ACTIONS), TransitionKernel(rules=rules))
+    first = StageKernel((StrategyRule(dist=ActionAtom("a")),))
+    later = StageKernel((sel_s, sel_t, StrategyRule(dist=ActionAtom("c"))))
+    seeded = not twice and all(ex.values())
+    return model, markov_sequence((first, later)), (on_s, on_t, sel_s, sel_t), seeded
+
+
+_unit = st.fractions(min_value=0, max_value=1, max_denominator=8)
+
+
+@st.composite
+def unit_polys(draw, narrow: bool):
+    """1 or 2 exact pieces over [0, 1], or (narrow) over part of it, whose
+    range check then can fail."""
+    lo, hi = sorted(draw(st.lists(_unit, min_size=2, max_size=2, unique=True))) if narrow else (F(0), F(1))
+    inner = [x for x in draw(st.lists(_unit, max_size=1)) if lo < x < hi]
+    breaks = (lo, *inner, hi)
+    coeffs = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=5), min_size=1, max_size=3)
+    return PiecewisePoly(breaks, tuple(tuple(draw(coeffs)) for _ in breaks[1:]))
+
+
+@st.composite
+def cut_functions(draw):
+    """A structured joint or state-only function on SPACE.  Its action
+    values are exact or, sometimes, a float, which sends the components
+    under that action to the per-component route."""
+    sf = StateFactor(
+        segment_polys=(("s", draw(unit_polys(draw(st.integers(0, 4)) == 0))), ("t", draw(unit_polys(False)))),
+        atom_values=tuple((a, F(1)) for a in ("start", "mid", "Delta")),
+    )
+    if draw(st.integers(0, 3)) == 0:
+        return structured_state_function("g", CONTINUOUS, sf, F(10**6))
+    values = st.one_of(st.fractions(min_value=-2, max_value=2, max_denominator=5), st.just(0.5))
+    af = ActionFactor(table=tuple((a, draw(values)) for a in ACTIONS))
+    return structured_joint_function("g", CONTINUOUS, ((sf, af),), F(10**6))
+
+
+def as_rationals(table):
+    """Each group's cells (i, weight times height, lo, hi) as Fractions."""
+    return {
+        key: [(i, F(p, q), F(a, d), F(b, d)) for i, p, a, b in cells] for key, (d, q, cells) in table.groups.items()
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_models(), st.lists(cut_functions(), min_size=1, max_size=4))
+def test_the_table_of_the_cut_is_the_table_of_the_measure(case, gs):
+    model, strategy, (on_s, on_t, sel_s, sel_t), seeded = case
+    for sel, density in ((sel_s, on_s), (sel_t, on_t)):
+        got, want = StageKernel((sel,)).split_density(density), split_by_comparison(sel, density)
+        assert got == want
+        # the same break and height objects
+        assert all(x is y for g, w in zip(got, want) for x, y in zip((*g[0], *g[1]), (*w[0], *w[1])))
+        d, _, cuts = StageKernel((sel,))._cut(density)
+        if d is not None:
+            assert [F(a, d) for a in cuts] == [want[0][0][0], *(hi for (_, hi), _, _ in want)]
+    x0 = SPACE.point("start")
+    mu = occupation_unroll(model, strategy, x0, 4).measure
+    same_measure(mu, reference_unroll(model, strategy, x0, 4))
+    objects = {id(x) for part in (on_s, on_t, sel_s, sel_t) for x in part.breaks}
+    assert all(id(x) in objects for c in mu.components if isinstance(c.state, StateDensity) for x in c.state.breaks)
+    assert (id(mu) in measure._TABLES) == seeded
+    if seeded:
+        table, fresh = measure._cell_table(mu), measure._CellTable(mu)
+        assert table.rows == fresh.rows
+        assert as_rationals(table) == as_rationals(fresh)
+    for g in gs:
+        assert outcome(lambda: integrate(mu, g)) == outcome(lambda: reference_integrate(mu, g))
+    total, want = mu.total_mass(), nsum(c.mass() for c in mu.components)
+    assert total.is_exact == want.is_exact and weight_key(total) == weight_key(want)
+    assert_same(determinism_defect(mu), containment_scan_defect(mu))

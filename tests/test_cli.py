@@ -468,6 +468,34 @@ def test_model_document_of_the_wrong_shape_is_input_error(tmp_path, text, messag
     )
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("states", "atoms", 0, "name"), 0, "bad model field 'states': atom name 0 is not a string"),
+        (("kernel", "rows", 0, 1, 0, 0), ["Delta"], "bad model field 'kernel': row target ['Delta'] is not a string"),
+        # a rule's dist may be null in a document (the drawn round trips keep
+        # one), so the strategy check refuses it, as it refuses a bad action
+        (("strategies", "go", "stages", 0, "rules", 0, "dist"), None,
+         "strategy 'go': stage[0].rule[0]: no action distribution, got None"),
+    ],
+    ids=["atom-name-not-a-string", "row-target-a-list", "rule-dist-null"],
+)
+def test_a_leaf_of_the_wrong_type_is_refused_before_the_analysis(tmp_path, path, value, message):
+    # each went on to a TypeError or an AttributeError in the analysis: exit
+    # 1 with a traceback
+    doc = model_to_dict(chain_model(), {"go": deterministic_stationary(default="fwd")})
+    *inner, last = path
+    leaf = doc
+    for key in inner:
+        leaf = leaf[key]
+    leaf[last] = value
+    model_file = tmp_path / "model.json"
+    save_json(str(model_file), doc)
+    assert_input_error(
+        ["occupation", "--model", str(model_file), "--x0", "A", "--strategy", "go", "--solver", "countable"], message
+    )
+
+
 def test_strategy_naming_an_unknown_action_is_input_error(tmp_path):
     # the strategy went unchecked: the analysis failed, exit 1, with
     # "no kernel row for ('b1', '9')"

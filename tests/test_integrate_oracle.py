@@ -70,7 +70,7 @@ from absorbing_mdp import (
     structured_joint_function,
     structured_state_function,
 )
-from absorbing_mdp import measure, occupation_unroll
+from absorbing_mdp import determinism_defect, measure, nsum, occupation_unroll, topology
 from absorbing_mdp.measure import (
     DEFAULT_INTEGRATE_TOL,
     CoverageError,
@@ -725,29 +725,49 @@ def _counting_tables(monkeypatch):
     return built
 
 
-def test_a_cell_table_is_built_once_per_measure_and_dies_with_it(monkeypatch):
+def test_an_unrolled_measure_reads_the_table_of_its_cut_and_a_built_one_builds_one(monkeypatch):
     built = _counting_tables(monkeypatch)
+    read = []
+
+    def reading(mu):
+        table = fetch(mu)
+        read.append(table)
+        return table
+
+    fetch = measure._cell_table
+    monkeypatch.setattr(measure, "_cell_table", reading)
+    monkeypatch.setattr(topology, "_cell_table", reading)
     entry = remark1(depth=4)
     mu = occupation_unroll(entry.model, entry.families["alternating"].generator(4), entry.x0, 2).measure
+    # the unroll seeded the table of the cells it cut
+    ((seeded_key, (_, seeded)),) = measure._TABLES[id(mu)].items()
+    assert seeded_key == ()
     battery = entry.batteries["ws-extended"].functions
     assert len(battery) == 7 and all(f.arity == "state_action" for f in battery)
-    for f in battery:
-        assert integrate(mu, f) == reference_integrate(mu, f)
-    assert built == [id(mu)]
     x = PiecewisePoly((F(0), F(1)), ((F(0), F(1)),))
     factor = StateFactor(segment_polys=(("unit", x),), atom_values=(("start", F(0)), ("Delta", F(0))))
-    for name in ("x", "x again"):
-        g = structured_state_function(name, CONTINUOUS, factor, F(1))
-        assert integrate(mu, g) == reference_integrate(mu, g)
-    # the state-only functions read the table the joint ones built
-    assert built == [id(mu)]
+    funcs = [*battery, *(structured_state_function(name, CONTINUOUS, factor, F(1)) for name in ("x", "x again"))]
+    for f in funcs:
+        assert integrate(mu, f) == reference_integrate(mu, f)
+    assert mu.total_mass() == nsum(c.mass() for c in mu.components)
+    assert determinism_defect(mu) == ZERO
+    # integrate, total_mass and the defect read the seeded table, and none is built
+    assert built == [] and read and all(table is seeded for table in read)
 
-    key, alive = id(mu), weakref.ref(mu)
-    assert set(measure._TABLES[key]) == {()}
-    del mu
+    # the same components in a measure the user builds: one table, built once
+    nu = HybridMeasure(mu.domain, mu.components)
+    for f in funcs:
+        assert integrate(nu, f) == integrate(mu, f)
+    assert nu.total_mass() == mu.total_mass() and determinism_defect(nu) == ZERO
+    assert built == [id(nu)]
+    assert measure._cell_table(nu).rows == seeded.rows
+
+    keys, alive = [id(mu), id(nu)], [weakref.ref(mu), weakref.ref(nu)]
+    assert all(set(measure._TABLES[key]) == {()} for key in keys)
+    del mu, nu
     gc.collect()
-    assert alive() is None
-    assert key not in measure._TABLES
+    assert [ref() for ref in alive] == [None, None]
+    assert not any(key in measure._TABLES for key in keys)
 
 
 def test_functions_that_take_different_components_share_one_table(monkeypatch):

@@ -420,6 +420,30 @@ def test_selector_split_matches_the_midpoint_split_on_exact_breaks(case):
     assert [h is w for (_, (h,), _), (_, (w,), _) in zip(got, want)] == [True] * len(want)
 
 
+@st.composite
+def _float_split_cases(draw):
+    """`_split_cases` with every break, of the selector and of the density,
+    a float: the values are those of exact breaks of denominator at most
+    12, so no cell is narrower than 1/132 and every midpoint falls inside
+    its cell."""
+    sel, density = draw(_split_cases())
+    return (
+        SegmentSelector("seg", tuple(map(float, sel.breaks)), sel.actions),
+        StateDensity("seg", tuple(map(float, density.breaks)), density.heights),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_split_cases())
+def test_selector_split_matches_the_midpoint_split_on_float_breaks(case):
+    sel, density = case
+    got = StageKernel(rules=(sel,)).split_density(density)
+    want = midpoint_split(sel, density)
+    assert got == want
+    assert [type(x) for (lo, hi), _, _ in got for x in (lo, hi)] == [float] * 2 * len(want)
+    assert [h is w for (_, (h,), _), (_, (w,), _) in zip(got, want)] == [True] * len(want)
+
+
 # -- families --------------------------------------------------------------
 
 

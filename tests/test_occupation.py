@@ -178,6 +178,21 @@ def test_a_state_that_stays_for_sure_is_refused(stay):
                              model.states.point("S"))
 
 
+def test_a_zero_probability_into_a_trap_sends_no_mass_there():
+    # A's row names C at probability 0, and C keeps all it gets: C is
+    # reached by the walk, but no mass enters it, so it is not solved
+    space = StateSpace(atoms=(AtomDecl("A"), AtomDecl("C"), AtomDecl("Delta")))
+    rows = ((("A", "go"), (("Delta", ONE), ("C", ZERO))), (("C", "go"), (("C", ONE),)),
+            (("Delta", "go"), (("Delta", ONE),)))
+    model = MdpModel(name="zero-into-trap", states=space, actions=FiniteActions(("go",)),
+                     kernel=TransitionKernel(rows=rows))
+    occ = occupation_countable(model, deterministic_stationary(default="go"), space.point("A"))
+    assert [(c.state.point.atom, c.action, c.weight) for c in occ.measure.components] == [
+        ("A", ActionAtom("go"), ONE)
+    ]
+    assert occ.tail_bound == ZERO and occ.tail_bound.is_exact
+
+
 def test_deep_ladder_needs_no_recursion():
     model = ladder_model(2048)
     occ = occupation_countable(model, deterministic_stationary(default="step"),
